@@ -9,7 +9,9 @@
 //! twice by one generator.
 
 use std::cell::RefCell;
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::hash::{Hash, Hasher};
 
 use cypher_parser::ast::{Clause, Expr, Literal, PathPattern, Projection, ProjectionItems, Query};
 use cypher_parser::pretty::query_to_string;
@@ -67,7 +69,8 @@ const REWRITES: [fn(&str) -> Option<String>; 4] = [
 pub struct Generator {
     bases: Vec<Query>,
     rng: Rng,
-    seen: HashSet<String>,
+    /// 64-bit hashes of every text handed out; a colliding draft is redrawn.
+    seen: HashSet<u64>,
 }
 
 impl Generator {
@@ -117,14 +120,24 @@ impl Generator {
         };
         let right = cypher_parser::parse_query(&right).ok()?;
         let right = query_to_string(&redraw(right, &mut self.rng, false));
-        let fresh = left != right && !self.seen.contains(&left) && !self.seen.contains(&right);
+        let (left_hash, right_hash) = (text_hash(&left), text_hash(&right));
+        let fresh = left_hash != right_hash
+            && !self.seen.contains(&left_hash)
+            && !self.seen.contains(&right_hash);
         if !fresh || well_typed(&left).is_none() || well_typed(&right).is_none() {
             return None;
         }
-        self.seen.insert(left.clone());
-        self.seen.insert(right.clone());
+        self.seen.insert(left_hash);
+        self.seen.insert(right_hash);
         Some(FreshPair { left, right, intent })
     }
+}
+
+/// SipHash with fixed keys, so the redraws, too, follow from the seed alone.
+fn text_hash(text: &str) -> u64 {
+    let mut hasher = DefaultHasher::new();
+    text.hash(&mut hasher);
+    hasher.finish()
 }
 
 /// The query if it passes parsing, the semantic check and the analyzer.
@@ -144,8 +157,9 @@ fn projects_star(query: &Query) -> bool {
 
 /// Alpha-renames every variable the query binds (pattern, path, `UNWIND`
 /// and projection aliases) to a fresh random name and, with `literals`,
-/// redraws integer and string literals in predicates, pattern properties
-/// and projections. `SKIP`/`LIMIT` counts are kept.
+/// redraws integer literals from `0..10000` and string literals as fresh
+/// random words in predicates, pattern properties and projections.
+/// `SKIP`/`LIMIT` counts are kept.
 fn redraw(mut query: Query, rng: &mut Rng, literals: bool) -> Query {
     let mut bound = BTreeSet::new();
     collect_bound(&query, &mut bound);
@@ -280,14 +294,11 @@ impl Rewriter<'_> {
                 self.query(&mut query);
                 Expr::Exists(query)
             }
-            // Four values per literal kind: the search keeps one candidate
-            // pool per vocabulary of labels, keys and constants, and wider
-            // draws made its memory grow past 600 MiB within 4000 pairs.
             Expr::Literal(Literal::Integer(_)) if literals => {
-                Expr::Literal(Literal::Integer(25 * self.rng.borrow_mut().below(4) as i64))
+                Expr::Literal(Literal::Integer(self.rng.borrow_mut().below(10_000) as i64))
             }
             Expr::Literal(Literal::String(_)) if literals => {
-                Expr::Literal(Literal::String(format!("s{}", self.rng.borrow_mut().below(4))))
+                Expr::Literal(Literal::String(fresh_name(&mut self.rng.borrow_mut())))
             }
             other => other,
         });

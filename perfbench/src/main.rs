@@ -31,13 +31,19 @@ const USAGE: &str =
                      --seed <n> --seconds <n> --trace <0|1>";
 
 /// Measuring processes of an untraced run, one after another. Each sets up
-/// once and measures for `1/PROCESSES` of `--seconds`; the run reports the
-/// median over them, so no single process's memory layout or hash seeds
-/// set a figure, and `setup_s` is the median of that many set-ups.
+/// once, cold, and measures for `1/PROCESSES` of `--seconds`; the run
+/// reports the median over them. `setup_s` is thus the median of that many
+/// cold set-ups, and on `fresh-stream`, whose memory grows with every pair
+/// proved, one process's peak stays a fifth of a whole run's.
 const PROCESSES: u64 = 5;
 
 /// Where each run writes its record (and, traced, its spans).
 const OUT_DIR: &str = ".perfbench";
+
+/// Resident-memory ceiling of a measuring process, in MiB. A process above
+/// it stops with an error: memory that grows with every pair fails the run
+/// instead of exhausting the machine.
+const RSS_CEILING_MB: f64 = 4096.0;
 
 struct Args {
     workload: Workload,
@@ -100,15 +106,31 @@ struct Share {
 }
 
 fn share(args: &Args, index: u64) -> Share {
+    guard_memory();
     let seed = args.seed.wrapping_mul(PROCESSES).wrapping_add(index);
     let start = Instant::now();
     let mut bench = Bench::setup(args.workload, seed, graphqe::machine_parallelism());
     let setup_s = start.elapsed().as_secs_f64();
     let timed =
         bench.run(Until::Timed(Duration::from_millis(args.seconds * 1000 / PROCESSES)), false);
-    let peak_rss_mb = report::peak_rss_mb();
+    let peak_rss_mb = timed.peak_rss_mb.expect("a timed phase proves RSS_PAIRS pairs");
     let figures = report::loop_figures(&timed.samples, args.workload.batch());
     Share { bench, setup_s, timed, figures, peak_rss_mb }
+}
+
+/// Watches this process's resident memory and exits with code 3 above
+/// [`RSS_CEILING_MB`].
+fn guard_memory() {
+    std::thread::spawn(|| loop {
+        let rss_mb = report::proc_status("VmRSS")
+            .and_then(|kb| kb.parse::<f64>().ok())
+            .map_or(0.0, |kb| kb / 1024.0);
+        if rss_mb > RSS_CEILING_MB {
+            eprintln!("resident memory {rss_mb:.0} MiB is above the {RSS_CEILING_MB} MiB ceiling");
+            std::process::exit(3);
+        }
+        std::thread::sleep(Duration::from_millis(50));
+    });
 }
 
 /// A measuring process: prints its share as one JSON line.
@@ -248,7 +270,7 @@ fn finish(
         checked.attempted,
         if checked.pinned_ok { "hold" } else { "BROKEN" }
     );
-    if args.workload == Workload::FreshStream {
+    if args.workload == Workload::FreshStream && !args.trace {
         println!("{:<28} {:>14} count", "gen.intent_mismatch", checked.intent_mismatch);
     }
     let metrics_json = report::metrics_json(metrics);

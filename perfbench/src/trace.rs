@@ -4,8 +4,9 @@
 //!
 //! Spans are recorded from the benchmark's side of each entry point. A
 //! span holds a name, a start, an end and a parent; all spans of one pair
-//! share that pair's id. A layer's self time is its span minus the part of
-//! it that child spans cover.
+//! share that pair's id. A layer's self time is its span minus its child
+//! spans; every layer span is a leaf (only the per-pair root has
+//! children), so a layer's self time is its span's duration.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -67,38 +68,12 @@ impl Tracer {
         value
     }
 
-    /// Self time per span id.
-    fn self_times(&self) -> Vec<Duration> {
-        let mut children: Vec<Vec<(Instant, Instant)>> = vec![Vec::new(); self.spans.len()];
-        for span in &self.spans {
-            if let Some(parent) = span.parent {
-                children[parent].push((span.start, span.end));
-            }
-        }
-        self.spans
-            .iter()
-            .zip(children)
-            .map(|(span, mut covered)| {
-                covered.sort();
-                let (mut cursor, mut inside) = (span.start, Duration::ZERO);
-                for (start, end) in covered {
-                    let (start, end) = (start.max(cursor), end.min(span.end));
-                    if end > start {
-                        inside += end - start;
-                        cursor = end;
-                    }
-                }
-                (span.end - span.start).saturating_sub(inside)
-            })
-            .collect()
-    }
-
-    /// Per layer name: summed self time, summed calls and span durations.
+    /// Per layer name: summed span time, summed calls and span durations.
     fn layers(&self) -> BTreeMap<&'static str, Layer> {
         let mut layers: BTreeMap<&'static str, Layer> = BTreeMap::new();
-        for (span, self_time) in self.spans.iter().zip(self.self_times()) {
+        for span in &self.spans {
             let layer = layers.entry(span.name).or_default();
-            layer.busy += self_time;
+            layer.busy += span.end - span.start;
             layer.calls += u64::from(span.calls);
             layer.durations_us.push((span.end - span.start).as_secs_f64() * 1e6);
         }
@@ -327,14 +302,12 @@ pub fn traced_phase(bench: &mut Bench, untraced_pairs_per_s: f64) -> Traced {
         clear_caches();
     }
     let certify = (workload == Workload::Certified).then(|| bench.prover());
-    let composed_start = Instant::now();
     let (mut agree, mut composed_all) = (0usize, Vec::new());
     for (job, outcome) in run.calls.iter().flat_map(|call| call.jobs.iter().zip(&call.outcomes)) {
         let composed = compose(&mut tracer, job.id, &job.left, &job.right, certify);
         agree += usize::from(composed.kind == outcome.kind);
         composed_all.push(composed);
     }
-    let traced_wall = run.wall + composed_start.elapsed();
 
     let layers = tracer.layers();
     let empty = Layer::default();
@@ -376,7 +349,10 @@ pub fn traced_phase(bench: &mut Bench, untraced_pairs_per_s: f64) -> Traced {
     }
     serve_rtt.sort_by(f64::total_cmp);
     serve_overhead.sort_by(f64::total_cmp);
-    let traced_pairs_per_s = run.pairs as f64 / traced_wall.as_secs_f64();
+    // Over the span-wrapped workload calls only, on the same timed clock as
+    // the untraced figure; the composition's second proof of each pair is
+    // not part of it.
+    let traced_pairs_per_s = run.pairs as f64 / run.timed.as_secs_f64();
 
     let mut metrics = vec![
         Metric::new("batch.wall_ms", batch_wall.as_secs_f64() * 1e3, "ms"),

@@ -13,6 +13,7 @@ use graphqe_serve::{ServeConfig, Server};
 use crate::client::{self, Client};
 use crate::corpus::{self, CorpusPair, Order, Tally};
 use crate::gen::{Generator, Intent};
+use crate::report;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Workload {
@@ -55,6 +56,12 @@ impl Workload {
 
 /// Fresh pairs proved by the warm-up of `fresh-stream`.
 const FRESH_WARMUP_PAIRS: usize = 64;
+
+/// Pairs a timed phase proves before its peak resident memory is read.
+/// Memory is read at a fixed amount of work, not at the end of the phase,
+/// because on `fresh-stream` it grows with every pair proved: read at the
+/// end, a faster prover, or a quieter machine, would read as more memory.
+pub const RSS_PAIRS: usize = 4096;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Kind {
@@ -143,24 +150,29 @@ pub struct Run {
     pub samples: Vec<Sample>,
     pub pairs: usize,
     checks: Checks,
-    pub wall: Duration,
+    /// Timed clock: the phase's wall clock less input generation and
+    /// re-certification.
+    pub timed: Duration,
+    /// `VmHWM` in MiB once [`RSS_PAIRS`] pairs were proved, if they were.
+    pub peak_rss_mb: Option<f64>,
 }
 
-/// Verdict checks accumulated call by call, so a long run keeps no pairs
-/// except the definite fresh verdicts still to be re-certified.
+/// Verdict checks accumulated call by call, so a run keeps no verdicts.
 #[derive(Default)]
 struct Checks {
     attempted: usize,
     failed: usize,
     decided: usize,
     passes: Tally,
-    fresh: Vec<(String, String, Intent, Verdict)>,
+    intent_mismatch: usize,
 }
 
 impl Checks {
     /// Checks one call; corpus verdicts are compared with `reference`
-    /// unless it is still empty (during the warm-up that derives it).
-    fn add(&mut self, call: &Call, corpus: &[CorpusPair], reference: &[Kind]) {
+    /// unless it is still empty (during the warm-up that derives it), and
+    /// definite fresh verdicts are re-certified.
+    fn add(&mut self, call: &Call, corpus: &[CorpusPair], reference: &[Kind], program: &Program) {
+        let mut fresh = Vec::new();
         for (job, outcome) in call.jobs.iter().zip(&call.outcomes) {
             self.attempted += 1;
             self.decided += usize::from(outcome.kind != Kind::Unknown);
@@ -173,13 +185,15 @@ impl Checks {
                 }
                 Origin::Fresh(intent) => {
                     if let Some(verdict) = outcome.verdict.as_ref().filter(|v| !v.is_unknown()) {
-                        let pair = (job.left.clone(), job.right.clone());
-                        self.fresh.push((pair.0, pair.1, intent, verdict.clone()));
+                        fresh.push((job.left.as_str(), job.right.as_str(), intent, verdict));
                     }
                 }
             }
             self.failed += usize::from(failed);
         }
+        let (rejected, intent_mismatch) = program.recertify(&fresh);
+        self.failed += rejected;
+        self.intent_mismatch += intent_mismatch;
     }
 
     fn merge(&mut self, other: Checks) {
@@ -187,13 +201,14 @@ impl Checks {
         self.failed += other.failed;
         self.decided += other.decided;
         self.passes.merge(other.passes);
-        self.fresh.extend(other.fresh);
+        self.intent_mismatch += other.intent_mismatch;
     }
 }
 
 #[derive(Clone, Copy)]
 pub enum Until {
-    /// Until this much timed clock has passed.
+    /// Until this much timed clock has passed and at least [`RSS_PAIRS`]
+    /// pairs were handed out.
     Timed(Duration),
     Pairs(usize),
 }
@@ -284,6 +299,44 @@ impl Program {
         );
         let keep = self.workload == Workload::FreshStream;
         Outcome { kind: Kind::of(&verdict), verdict: keep.then_some(verdict), failed }
+    }
+
+    /// Re-certifies definite fresh verdicts with the checker on all
+    /// threads, which end with the call, so their thread-local caches do not
+    /// outlive it. A rejected certificate fails the pair; a verdict that
+    /// contradicts the generator's intent is counted, not dropped. Returns
+    /// the rejected and the intent-contradicting counts.
+    fn recertify(&self, pairs: &[(&str, &str, Intent, &Verdict)]) -> (usize, usize) {
+        if pairs.is_empty() {
+            return (0, 0);
+        }
+        let cursor = AtomicUsize::new(0);
+        let rejected = AtomicUsize::new(0);
+        let mismatched = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for _ in 0..self.threads.min(pairs.len()) {
+                scope.spawn(|| {
+                    while let Some(&(left, right, intent, verdict)) =
+                        pairs.get(cursor.fetch_add(1, Ordering::Relaxed))
+                    {
+                        let certified = catch_unwind(AssertUnwindSafe(|| {
+                            self.prover.certify_verdict(left, right, verdict.clone(), true).0
+                        }));
+                        match certified {
+                            Ok(verdict) if !verdict.is_unknown() => {
+                                if Kind::of(&verdict) != Kind::intended(intent) {
+                                    mismatched.fetch_add(1, Ordering::Relaxed);
+                                }
+                            }
+                            _ => {
+                                rejected.fetch_add(1, Ordering::Relaxed);
+                            }
+                        }
+                    }
+                });
+            }
+        });
+        (rejected.into_inner(), mismatched.into_inner())
     }
 }
 
@@ -412,17 +465,31 @@ impl Bench {
     }
 
     /// The closed loop: every client sends its next call only after the
-    /// previous one returned. With `keep`, the run keeps its calls.
+    /// previous one returned. With `keep`, the run keeps its calls. Making
+    /// the inputs and checking the outputs are left out of the timed clock.
     pub fn run(&mut self, until: Until, keep: bool) -> Run {
         let start = Instant::now();
         let batch = self.program.workload.batch();
         let corpus = &self.corpus;
-        let feed = Mutex::new((&mut self.source, &mut self.next_id, 0usize, Duration::ZERO));
+        let feed = Mutex::new((&mut self.source, &mut self.next_id, 0usize));
+        // Wall clock spent outside the calls, left out of the timed clock.
+        let untimed = Mutex::new(Duration::ZERO);
+        let untimed_now = || *untimed.lock().expect("a client thread panicked");
+        let add_untimed = |since: Instant| {
+            *untimed.lock().expect("a client thread panicked") += since.elapsed();
+        };
+        let proved = AtomicUsize::new(0);
+        let peak_rss_mb = Mutex::new(None);
         let next = || {
             let mut guard = feed.lock().expect("a client thread panicked while taking jobs");
-            let (source, next_id, handed, input_time) = &mut *guard;
+            let (source, next_id, handed) = &mut *guard;
             let count = match until {
-                Until::Timed(limit) if start.elapsed().saturating_sub(*input_time) >= limit => 0,
+                Until::Timed(limit)
+                    if *handed >= RSS_PAIRS
+                        && start.elapsed().saturating_sub(untimed_now()) >= limit =>
+                {
+                    0
+                }
                 Until::Timed(_) => batch,
                 Until::Pairs(total) => batch.min(total - *handed),
             };
@@ -437,19 +504,26 @@ impl Bench {
                 })
                 .collect();
             *handed += count;
-            *input_time += made.elapsed();
-            Some((jobs, *input_time))
+            add_untimed(made);
+            Some(jobs)
         };
         let (program, reference) = (&self.program, &self.reference);
         let client = |caller: &mut Caller| {
             let mut client = (Vec::new(), Vec::new(), Checks::default());
-            while let Some((jobs, input_time)) = next() {
+            while let Some(jobs) = next() {
                 let call = program.call(caller, jobs);
                 client.1.push(Sample {
-                    end_s: (call.end - start).saturating_sub(input_time).as_secs_f32(),
+                    end_s: (call.end - start).saturating_sub(untimed_now()).as_secs_f32(),
                     latency_ms: call.latency().as_secs_f32() * 1e3,
                 });
-                client.2.add(&call, corpus, reference);
+                let checked = Instant::now();
+                client.2.add(&call, corpus, reference, program);
+                let before = proved.fetch_add(call.jobs.len(), Ordering::Relaxed);
+                if before < RSS_PAIRS && before + call.jobs.len() >= RSS_PAIRS {
+                    *peak_rss_mb.lock().expect("a client thread panicked") =
+                        Some(report::peak_rss_mb());
+                }
+                add_untimed(checked);
                 if keep {
                     client.0.push(call);
                 }
@@ -477,7 +551,8 @@ impl Bench {
             samples: Vec::new(),
             pairs: 0,
             checks: Checks::default(),
-            wall: start.elapsed(),
+            timed: start.elapsed().saturating_sub(untimed_now()),
+            peak_rss_mb: peak_rss_mb.into_inner().expect("a client thread panicked"),
         };
         for (calls, samples, checks) in clients {
             run.calls.extend(calls);
@@ -490,58 +565,20 @@ impl Bench {
         run
     }
 
-    /// The verdict checks of `runs`. Corpus pairs must match their
-    /// reference verdict and complete passes the pinned counts. Every
-    /// definite fresh verdict is re-certified with the checker, untimed;
-    /// a rejected certificate fails the pair, and a verdict that contradicts
-    /// the generator's intent is counted, not dropped.
+    /// The verdict checks of `runs`: corpus pairs must have matched their
+    /// reference verdict and complete passes the pinned counts; definite
+    /// fresh verdicts were re-certified call by call, untimed.
     pub fn check(&self, runs: Vec<Run>) -> Checked {
         let mut checks = Checks::default();
         runs.into_iter().for_each(|run| checks.merge(run.checks));
-        let (rejected, intent_mismatch) = self.recertify(&checks.fresh);
         Checked {
             attempted: checks.attempted,
-            failed: checks.failed + rejected,
+            failed: checks.failed,
             decided: checks.decided,
             pinned_ok: self.warmup_pinned_ok
                 && checks.passes.complete_passes_match(self.corpus.len()),
-            intent_mismatch,
+            intent_mismatch: checks.intent_mismatch,
         }
-    }
-
-    /// Re-certifies definite fresh verdicts on all threads; returns the
-    /// rejected and the intent-contradicting counts.
-    fn recertify(&self, pairs: &[(String, String, Intent, Verdict)]) -> (usize, usize) {
-        let cursor = AtomicUsize::new(0);
-        let rejected = AtomicUsize::new(0);
-        let mismatched = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..self.program.threads {
-                scope.spawn(|| {
-                    while let Some((left, right, intent, verdict)) =
-                        pairs.get(cursor.fetch_add(1, Ordering::Relaxed))
-                    {
-                        let certified = catch_unwind(AssertUnwindSafe(|| {
-                            self.program
-                                .prover
-                                .certify_verdict(left, right, verdict.clone(), true)
-                                .0
-                        }));
-                        match certified {
-                            Ok(verdict) if !verdict.is_unknown() => {
-                                if Kind::of(&verdict) != Kind::intended(*intent) {
-                                    mismatched.fetch_add(1, Ordering::Relaxed);
-                                }
-                            }
-                            _ => {
-                                rejected.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                    }
-                });
-            }
-        });
-        (rejected.into_inner(), mismatched.into_inner())
     }
 
     /// `GET /v1/stats` of the in-process server.
