@@ -15,6 +15,7 @@
 mod client;
 mod corpus;
 mod gen;
+mod host;
 mod report;
 mod trace;
 mod workload;
@@ -31,10 +32,10 @@ const USAGE: &str =
                      --seed <n> --seconds <n> --trace <0|1>";
 
 /// Measuring processes of an untraced run, one after another. Each sets up
-/// once, cold, and measures for `1/PROCESSES` of `--seconds`; the run
-/// reports the median over them. `setup_s` is thus the median of that many
-/// cold set-ups, and on `fresh-stream`, whose memory grows with every pair
-/// proved, one process's peak stays a fifth of a whole run's.
+/// once, cold, and measures for `1/PROCESSES` of `--seconds`. `setup_s` is
+/// thus the median of that many cold set-ups, and on `fresh-stream`, whose
+/// memory grows with every pair proved, one process's peak stays a fifth of
+/// a whole run's.
 const PROCESSES: u64 = 5;
 
 /// Where each run writes its record (and, traced, its spans).
@@ -103,6 +104,8 @@ struct Share {
     timed: Run,
     figures: LoopFigures,
     peak_rss_mb: f64,
+    /// The host's slowdown over the set-up and the timed phase.
+    slowdown: f64,
 }
 
 fn share(args: &Args, index: u64) -> Share {
@@ -114,8 +117,9 @@ fn share(args: &Args, index: u64) -> Share {
     let timed =
         bench.run(Until::Timed(Duration::from_millis(args.seconds * 1000 / PROCESSES)), false);
     let peak_rss_mb = timed.peak_rss_mb.expect("a timed phase proves RSS_PAIRS pairs");
-    let figures = report::loop_figures(&timed.samples, args.workload.batch());
-    Share { bench, setup_s, timed, figures, peak_rss_mb }
+    let figures = report::loop_figures(&timed);
+    let slowdown = bench.slowdown();
+    Share { bench, setup_s, timed, figures, peak_rss_mb, slowdown }
 }
 
 /// Watches this process's resident memory and exits with code 3 above
@@ -135,19 +139,18 @@ fn guard_memory() {
 
 /// A measuring process: prints its share as one JSON line.
 fn measuring_process(args: &Args, index: u64) {
-    let Share { bench, setup_s, timed, figures, peak_rss_mb } = share(args, index);
+    let Share { bench, setup_s, timed, figures, peak_rss_mb, slowdown } = share(args, index);
+    let timed_s = timed.timed.as_secs_f64();
     let checked = bench.check(vec![timed]);
     let correct = bench.warmup_ok() && checked.pinned_ok;
     bench.shutdown();
     println!(
-        "{{\"setup_s\":{setup_s},\"pairs_per_s\":{},\"p50_ms\":{},\"p99_ms\":{},\"calls\":{},\"windows\":{},\
+        "{{\"setup_s\":{setup_s},\"timed_s\":{timed_s},\"slowdown\":{slowdown},\"p50_ms\":{},\"p99_ms\":{},\"calls\":{},\
          \"peak_rss_mb\":{peak_rss_mb},\"attempted\":{},\"failed\":{},\"decided\":{},\"intent_mismatch\":{},\
          \"correct\":{correct}}}",
-        figures.pairs_per_s,
         figures.p50_ms,
         figures.p99_ms,
         figures.calls,
-        figures.windows,
         checked.attempted,
         checked.failed,
         checked.decided,
@@ -156,7 +159,9 @@ fn measuring_process(args: &Args, index: u64) {
 }
 
 /// The untraced run: [`PROCESSES`] measuring processes, one at a time, and
-/// the end-to-end metrics over them.
+/// the end-to-end metrics over them. Throughput is all their pairs over all
+/// their timed clock, a latency percentile the mean of theirs; `setup_s` and
+/// `peak_rss_mb` are medians, of cold set-ups and of fixed-work readings.
 fn untraced(args: &Args) {
     let exe = std::env::current_exe().expect("the path of this executable");
     let mut shares = Vec::new();
@@ -192,24 +197,39 @@ fn untraced(args: &Args) {
             .all(|share| share.get("correct").and_then(Json::as_bool) == Some(true)),
         intent_mismatch: total("intent_mismatch"),
     };
-    let metrics = vec![
-        Metric::new("pairs_per_s", median_of("pairs_per_s"), "1/s"),
-        Metric::new("latency_p50_ms", median_of("p50_ms"), "ms"),
-        Metric::new("latency_p99_ms", median_of("p99_ms"), "ms"),
+    // The timed figures, on the reference clock (each process's times over
+    // its host slowdown) or on the wall clock.
+    let timed_figures = |reference: bool| {
+        let times = |key: &str| -> Vec<f64> {
+            let scale = |share: &Json| if reference { field(share, "slowdown") } else { 1.0 };
+            shares.iter().map(|share| field(share, key) / scale(share)).collect()
+        };
+        let mean = |key: &str| times(key).iter().sum::<f64>() / shares.len() as f64;
+        vec![
+            Metric::new(
+                "pairs_per_s",
+                checked.attempted as f64 / times("timed_s").iter().sum::<f64>(),
+                "1/s",
+            ),
+            Metric::new("latency_p50_ms", mean("p50_ms"), "ms"),
+            Metric::new("latency_p99_ms", mean("p99_ms"), "ms"),
+            Metric::new("setup_s", median(&mut times("setup_s")), "s"),
+        ]
+    };
+    let mut metrics = timed_figures(true);
+    metrics.extend([
         Metric::new(
             "decided_share",
             checked.decided as f64 / checked.attempted.max(1) as f64,
             "share",
         ),
-        Metric::new("setup_s", median_of("setup_s"), "s"),
         Metric::new("peak_rss_mb", median_of("peak_rss_mb"), "MiB"),
-    ];
-    let samples = format!(
-        "median over {PROCESSES} processes; {} calls in {} windows",
-        total("calls"),
-        total("windows")
-    );
-    finish(args, PROCESSES, &checked, &metrics, &samples, None);
+    ]);
+    let mut wall = timed_figures(false);
+    wall.push(Metric::new("host_slowdown", median_of("slowdown"), "ratio"));
+    let samples =
+        format!("{} calls in {PROCESSES} processes, mean of their percentiles", total("calls"));
+    finish(args, PROCESSES, &checked, &metrics, &wall, &samples, None);
 }
 
 /// The traced run: one process measures its share untraced, then runs the
@@ -224,15 +244,18 @@ fn traced(args: &Args) {
     metrics.push(Metric::new("gen.intent_mismatch", checked.intent_mismatch as f64, "count"));
     let samples = format!("{} calls traced", traced.calls);
     let spans = Some(traced.tracer.to_json_lines());
-    finish(args, 1, &checked, &metrics, &samples, spans);
+    finish(args, 1, &checked, &metrics, &[], &samples, spans);
 }
 
 /// Prints the report and the result line, and writes the run's record.
+/// `wall` holds the untraced run's timed figures on the wall clock and the
+/// host slowdown; `metrics` has them on the reference clock.
 fn finish(
     args: &Args,
     processes: u64,
     checked: &Checked,
     metrics: &[Metric],
+    wall: &[Metric],
     samples: &str,
     spans: Option<String>,
 ) {
@@ -261,6 +284,10 @@ fn finish(
         };
         println!("{:<28} {:>14.4} {}{note}", metric.name, metric.value, metric.unit);
     }
+    for metric in wall {
+        let clock = if metric.name == "host_slowdown" { "" } else { " (wall clock)" };
+        println!("{:<28} {:>14.4} {}{clock}", metric.name, metric.value, metric.unit);
+    }
     let failed_share = checked.failed as f64 / checked.attempted.max(1) as f64;
     println!(
         "{:<28} {:>14.4} share ({} of {} pairs failed; pinned corpus verdicts {})",
@@ -274,7 +301,7 @@ fn finish(
         println!("{:<28} {:>14} count", "gen.intent_mismatch", checked.intent_mismatch);
     }
     let metrics_json = report::metrics_json(metrics);
-    write_record(args, &machine, &metrics_json, spans);
+    write_record(args, &machine, &metrics_json, &report::metrics_json(wall), spans);
     let correct = checked.failed == 0 && checked.pinned_ok;
     println!(
         "{{\"correct\":{correct},\"attempted\":{},\"failed\":{},\"metrics\":{metrics_json}}}",
@@ -285,7 +312,13 @@ fn finish(
 
 /// Writes the run's record, and the spans of a traced run, under
 /// [`OUT_DIR`]. A write failure is reported and does not fail the run.
-fn write_record(args: &Args, machine: &str, metrics_json: &str, spans: Option<String>) {
+fn write_record(
+    args: &Args,
+    machine: &str,
+    metrics_json: &str,
+    wall_json: &str,
+    spans: Option<String>,
+) {
     let stem = format!(
         "{OUT_DIR}/{}-seed{}-trace{}",
         args.workload.name(),
@@ -293,7 +326,7 @@ fn write_record(args: &Args, machine: &str, metrics_json: &str, spans: Option<St
         u8::from(args.trace)
     );
     let record = format!(
-        "{{\"workload\":\"{}\",\"machine\":{machine},\"metrics\":{metrics_json}}}\n",
+        "{{\"workload\":\"{}\",\"machine\":{machine},\"metrics\":{metrics_json},\"wall_clock\":{wall_json}}}\n",
         args.workload.name()
     );
     let written = std::fs::create_dir_all(OUT_DIR)

@@ -2,7 +2,7 @@
 
 use std::fmt::Write as _;
 
-use crate::workload::Sample;
+use crate::workload::Run;
 
 pub struct Metric {
     pub name: String,
@@ -27,44 +27,26 @@ pub fn percentile(sorted: &[f64], fraction: f64) -> f64 {
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
-/// Calls per window of the closed-loop figures.
-const WINDOW_CALLS: usize = 1000;
-
-/// Throughput and latency of a closed loop, each the median over windows
-/// of [`WINDOW_CALLS`] consecutive calls (the calls left over join the last
-/// window), so a short stall of the machine moves one window, not the
-/// figure. A window of 1000 calls leaves ten samples beyond its p99.
+/// Throughput and latency of one closed-loop phase. Throughput is pairs
+/// over the whole timed clock, and the percentiles are over all of its
+/// calls. The host's speed drifts over seconds; averaging the whole phase
+/// evens that out better than a median over windows of it, which kept
+/// about twice the run-to-run spread on the same runs.
 pub struct LoopFigures {
     pub pairs_per_s: f64,
     pub p50_ms: f64,
     pub p99_ms: f64,
-    pub windows: usize,
     pub calls: usize,
 }
 
-/// `samples` sorted by completion; every call carried `pairs_per_call`.
-pub fn loop_figures(samples: &[Sample], pairs_per_call: usize) -> LoopFigures {
-    let windows = (samples.len() / WINDOW_CALLS).max(1);
-    let (mut rates, mut p50s, mut p99s) = (Vec::new(), Vec::new(), Vec::new());
-    let mut began = 0.0;
-    for window in 0..windows {
-        let last = if window + 1 == windows { samples.len() } else { (window + 1) * WINDOW_CALLS };
-        let calls = &samples[window * WINDOW_CALLS..last];
-        let ended = calls.last().map_or(began, |sample| f64::from(sample.end_s));
-        rates.push((calls.len() * pairs_per_call) as f64 / (ended - began));
-        began = ended;
-        let mut latencies: Vec<f64> =
-            calls.iter().map(|sample| f64::from(sample.latency_ms)).collect();
-        latencies.sort_by(f64::total_cmp);
-        p50s.push(percentile(&latencies, 0.50));
-        p99s.push(percentile(&latencies, 0.99));
-    }
+pub fn loop_figures(run: &Run) -> LoopFigures {
+    let mut latencies: Vec<f64> = run.latencies_ms.iter().map(|&ms| f64::from(ms)).collect();
+    latencies.sort_by(f64::total_cmp);
     LoopFigures {
-        pairs_per_s: median(&mut rates),
-        p50_ms: median(&mut p50s),
-        p99_ms: median(&mut p99s),
-        windows,
-        calls: samples.len(),
+        pairs_per_s: run.pairs as f64 / run.timed.as_secs_f64(),
+        p50_ms: percentile(&latencies, 0.50),
+        p99_ms: percentile(&latencies, 0.99),
+        calls: latencies.len(),
     }
 }
 

@@ -13,7 +13,7 @@ use graphqe_serve::{ServeConfig, Server};
 use crate::client::{self, Client};
 use crate::corpus::{self, CorpusPair, Order, Tally};
 use crate::gen::{Generator, Intent};
-use crate::report;
+use crate::{host, report};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Workload {
@@ -135,23 +135,15 @@ impl Call {
     }
 }
 
-/// One call as the timed clock saw it.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Sample {
-    /// When the call returned, in seconds of timed clock since the loop began.
-    pub end_s: f32,
-    pub latency_ms: f32,
-}
-
-/// One closed-loop phase: a sample per call, the running verdict checks
-/// and, when asked for, the calls themselves.
+/// One closed-loop phase: the latency of every call, the running verdict
+/// checks and, when asked for, the calls themselves.
 pub struct Run {
     pub calls: Vec<Call>,
-    pub samples: Vec<Sample>,
+    pub latencies_ms: Vec<f32>,
     pub pairs: usize,
     checks: Checks,
-    /// Timed clock: the phase's wall clock less input generation and
-    /// re-certification.
+    /// Timed clock: the phase's wall clock less the mean over the clients
+    /// of their time spent making inputs, checking verdicts and probing.
     pub timed: Duration,
     /// `VmHWM` in MiB once [`RSS_PAIRS`] pairs were proved, if they were.
     pub peak_rss_mb: Option<f64>,
@@ -387,6 +379,8 @@ pub struct Bench {
     /// Warm-up verdicts that broke the corpus rules or failed outright.
     warmup_failures: usize,
     warmup_pinned_ok: bool,
+    /// Every host probe taken by this bench's runs, in milliseconds.
+    probes_ms: Vec<f64>,
 }
 
 impl Bench {
@@ -423,6 +417,7 @@ impl Bench {
             server,
             warmup_failures: 0,
             warmup_pinned_ok: true,
+            probes_ms: Vec::new(),
         };
         let warmup_pairs =
             if workload == Workload::FreshStream { FRESH_WARMUP_PAIRS } else { bench.corpus.len() };
@@ -464,17 +459,31 @@ impl Bench {
         self.corpus.len()
     }
 
+    /// How much slower than the reference the host ran during this bench's
+    /// runs so far, the warm-up included.
+    pub fn slowdown(&self) -> f64 {
+        host::slowdown(&self.probes_ms)
+    }
+
     /// The closed loop: every client sends its next call only after the
     /// previous one returned. With `keep`, the run keeps its calls. Making
-    /// the inputs and checking the outputs are left out of the timed clock.
+    /// the inputs, checking the outputs and probing the host's speed every
+    /// [`host::PROBE_INTERVAL`] are left out of the timed clock.
     pub fn run(&mut self, until: Until, keep: bool) -> Run {
         let start = Instant::now();
         let batch = self.program.workload.batch();
         let corpus = &self.corpus;
         let feed = Mutex::new((&mut self.source, &mut self.next_id, 0usize));
-        // Wall clock spent outside the calls, left out of the timed clock.
+        // Wall clock the clients spent outside their calls, summed over them.
+        // The timed clock leaves out its mean over the clients, each of
+        // which calls while the others do such work.
         let untimed = Mutex::new(Duration::ZERO);
-        let untimed_now = || *untimed.lock().expect("a client thread panicked");
+        let clients = self.callers.len() as u32;
+        let timed_now = || {
+            start
+                .elapsed()
+                .saturating_sub(*untimed.lock().expect("a client thread panicked") / clients)
+        };
         let add_untimed = |since: Instant| {
             *untimed.lock().expect("a client thread panicked") += since.elapsed();
         };
@@ -484,12 +493,7 @@ impl Bench {
             let mut guard = feed.lock().expect("a client thread panicked while taking jobs");
             let (source, next_id, handed) = &mut *guard;
             let count = match until {
-                Until::Timed(limit)
-                    if *handed >= RSS_PAIRS
-                        && start.elapsed().saturating_sub(untimed_now()) >= limit =>
-                {
-                    0
-                }
+                Until::Timed(limit) if *handed >= RSS_PAIRS && timed_now() >= limit => 0,
                 Until::Timed(_) => batch,
                 Until::Pairs(total) => batch.min(total - *handed),
             };
@@ -509,19 +513,21 @@ impl Bench {
         };
         let (program, reference) = (&self.program, &self.reference);
         let client = |caller: &mut Caller| {
-            let mut client = (Vec::new(), Vec::new(), Checks::default());
+            let mut client = (Vec::new(), Vec::new(), Checks::default(), Vec::new());
+            let mut probed = Instant::now();
             while let Some(jobs) = next() {
                 let call = program.call(caller, jobs);
-                client.1.push(Sample {
-                    end_s: (call.end - start).saturating_sub(untimed_now()).as_secs_f32(),
-                    latency_ms: call.latency().as_secs_f32() * 1e3,
-                });
+                client.1.push(call.latency().as_secs_f32() * 1e3);
                 let checked = Instant::now();
                 client.2.add(&call, corpus, reference, program);
                 let before = proved.fetch_add(call.jobs.len(), Ordering::Relaxed);
                 if before < RSS_PAIRS && before + call.jobs.len() >= RSS_PAIRS {
                     *peak_rss_mb.lock().expect("a client thread panicked") =
                         Some(report::peak_rss_mb());
+                }
+                if probed.elapsed() >= host::PROBE_INTERVAL {
+                    client.3.push(host::probe_ms());
+                    probed = Instant::now();
                 }
                 add_untimed(checked);
                 if keep {
@@ -548,20 +554,20 @@ impl Bench {
         };
         let mut run = Run {
             calls: Vec::new(),
-            samples: Vec::new(),
+            latencies_ms: Vec::new(),
             pairs: 0,
             checks: Checks::default(),
-            timed: start.elapsed().saturating_sub(untimed_now()),
+            timed: timed_now(),
             peak_rss_mb: peak_rss_mb.into_inner().expect("a client thread panicked"),
         };
-        for (calls, samples, checks) in clients {
+        for (calls, latencies_ms, checks, probes_ms) in clients {
+            self.probes_ms.extend(probes_ms);
             run.calls.extend(calls);
-            run.samples.extend(samples);
+            run.latencies_ms.extend(latencies_ms);
             run.pairs += checks.attempted;
             run.checks.merge(checks);
         }
         run.calls.sort_by_key(|call| call.start);
-        run.samples.sort_by(|a, b| a.end_s.total_cmp(&b.end_s));
         run
     }
 
