@@ -2,29 +2,32 @@
 //!
 //! Every EQUIVALENT or NOT_EQUIVALENT verdict can be accompanied by a
 //! machine-checkable [`Certificate`] (schema owned by the dependency-free
-//! `graphqe-checker` crate). Emission is strictly off the hot path: the
-//! default prove pipeline never records anything, and a certificate is
-//! produced only on request by re-deriving the evidence —
+//! `graphqe-checker` crate). The prove path records nothing; a certificate
+//! is produced on request from the same caches the prove just filled —
 //!
 //! - the stage-② derivation via
 //!   [`cypher_normalizer::normalize_query_with_derivation`] (rule id +
-//!   position per step, replayable by the checker's own rule mirror);
-//! - the stage-④ witness via [`liastar::witness::prove_with_witness`]
-//!   (summand split, isomorphism pairing or class counts, per-summand SMT
-//!   obligations);
+//!   position per step, replayable by the checker's own rule mirror),
+//!   derived once per query and kept on its [`crate::NormalizedStages`]
+//!   entry next to the normalized form and the memoized build;
+//! - the stage-④ witness via [`liastar::witness::prove_with_witness`], which
+//!   runs the prover's own id-native decide with a recorder (summand split,
+//!   isomorphism pairing or class counts, per-summand SMT obligations), so
+//!   its summand, disjointness and formula lookups hit the thread's caches;
 //! - the NOT_EQUIVALENT bags via the reference scan evaluator
 //!   ([`property_graph::eval::evaluate_query_scan`]) on the verdict's
 //!   counterexample graph.
 //!
 //! Emission runs under [`limits::without_token`]: a deadline configured for
-//! the *proof* must not trip the re-derivation, which is bounded by the same
-//! work the proof already did.
+//! the *proof* must not trip the emission, which is bounded by the same work
+//! the proof already did.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use cypher_parser::ast::Query;
 use cypher_parser::pretty::query_to_string;
-use gexpr::{build_query, GAggKind, GAtom, GConst, GExpr, GTerm};
+use gexpr::{build_query, BuildOutput, GAggKind, GAtom, GConst, GExpr, GTerm};
 use graphqe_checker::cert::{
     CertVerdict, DerivationStep, Evidence, GraphCert, KeptSummand, Matching, Proof, QueryCert,
     SegmentWitness, SideSummands, SigColumn, SummandsProof, CERTIFICATE_VERSION,
@@ -37,7 +40,7 @@ use liastar::witness::{self, MatchingRecord, ProofRecord, SegmentRecord, SideRec
 use property_graph::PropertyGraph;
 
 use crate::verdict::{FailureCategory, Verdict};
-use crate::{divide, GraphQE};
+use crate::{divide, GraphQE, NormalizedStages};
 
 // ---------------------------------------------------------------------------
 // Process-wide emission counters
@@ -59,10 +62,9 @@ pub fn certificate_counters() -> (u64, u64) {
 impl GraphQE {
     /// Emits the certificate for a definite `verdict` on `(q1, q2)`.
     ///
-    /// The evidence is re-derived from scratch (see the module docs), so this
-    /// works for verdicts produced by any prove path — including warm
-    /// cached-substrate proves, whose shared [`crate::NormalizedStages`]
-    /// entries carry no derivations. Errors are descriptive strings; an
+    /// The evidence comes from the normalize-cache entries and the id-native
+    /// decide (see the module docs), so this works for verdicts produced by
+    /// any prove path, on any thread. Errors are descriptive strings; an
     /// `Unknown` verdict has no certificate by definition.
     pub fn certificate_for(
         &self,
@@ -151,11 +153,13 @@ impl GraphQE {
         // The checker replays the full Table II fixpoint regardless of the
         // prover's configuration, so the derivation is always recorded — an
         // ablation prover (normalize off) still emits checkable artifacts.
-        let (left, nq1) = query_cert(&parsed1);
-        let (right, nq2) = query_cert(&parsed2);
+        let stages1 = self.certified_stages(&parsed1)?;
+        let stages2 = self.certified_stages(&parsed2)?;
+        let left = stages1.query_cert().map_err(|e| format!("left query: {e}"))?.clone();
+        let right = stages2.query_cert().map_err(|e| format!("right query: {e}"))?.clone();
         let (cert_verdict, evidence) = match verdict {
             Verdict::Equivalent(_) => {
-                (CertVerdict::Equivalent, self.equivalence_evidence(&nq1, &nq2)?)
+                (CertVerdict::Equivalent, self.equivalence_evidence(&stages1, &stages2)?)
             }
             Verdict::NotEquivalent(example) => (
                 CertVerdict::NotEquivalent,
@@ -174,11 +178,27 @@ impl GraphQE {
         })
     }
 
-    /// Re-derives the EQUIVALENT evidence on the normalized pair, mirroring
-    /// the control flow of the prove pipeline (divide-and-conquer split,
-    /// arity fast path, return-element permutation loop) with the
-    /// witness-emitting reference decision in place of the arena decision.
-    fn equivalence_evidence(&self, nq1: &Query, nq2: &Query) -> Result<Evidence, String> {
+    /// Stage ② for a certified query: the shared normalize-cache entry the
+    /// prove used, or — for a prover opted out of that cache — a private
+    /// entry this call owns.
+    fn certified_stages(&self, parsed: &Arc<Query>) -> Result<Arc<NormalizedStages>, String> {
+        if self.use_normalize_cache {
+            crate::normalized_stages(parsed).map_err(|trip| trip.to_string())
+        } else {
+            let normalized = cypher_normalizer::normalize_query(parsed);
+            Ok(Arc::new(NormalizedStages::new(Arc::clone(parsed), normalized)))
+        }
+    }
+
+    /// The EQUIVALENT evidence on the normalized pair, following the control
+    /// flow of the prove pipeline (divide-and-conquer split, arity fast path,
+    /// return-element permutation loop) with the recording decide.
+    fn equivalence_evidence(
+        &self,
+        stages1: &NormalizedStages,
+        stages2: &NormalizedStages,
+    ) -> Result<Evidence, String> {
+        let (nq1, nq2) = (stages1.normalized(), stages2.normalized());
         if divide::needs_divide_and_conquer(nq1) || divide::needs_divide_and_conquer(nq2) {
             let segments1 = divide::split_into_segments(nq1)
                 .ok_or("cannot split the first query into segments")?;
@@ -194,8 +214,12 @@ impl GraphQE {
             let mut witnesses = Vec::new();
             let mut columns = 0;
             for (a, b) in segments1.iter().zip(segments2.iter()) {
-                let (witness, arity) = self.segment_witness(a, b)?;
-                columns = arity;
+                // Segments are query fragments with no memoized build, as on
+                // the prove path.
+                let built1 = build_query(a).map_err(|e| e.to_string())?;
+                let built2 = build_query(b).map_err(|e| e.to_string())?;
+                let (_, witness) = self.pair_witness(b, &built1, &built2)?;
+                columns = built1.columns;
                 witnesses.push(witness);
             }
             // Per-segment permutations are folded into each segment's right
@@ -208,19 +232,33 @@ impl GraphQE {
                 segments: witnesses,
             });
         }
-        let built1 = build_query(nq1).map_err(|e| e.to_string())?;
-        let built2 = build_query(nq2).map_err(|e| e.to_string())?;
+        let built1 = stages1.build().map_err(|e| e.to_string())?;
+        let built2 = stages2.build().map_err(|e| e.to_string())?;
+        let (permutation, witness) = self.pair_witness(nq2, &built1, &built2)?;
+        let permuted_right = (!crate::is_identity(&permutation))
+            .then(|| query_to_string(&crate::permute_returns(nq2, &permutation)));
+        Ok(Evidence::Equivalence {
+            column_permutation: permutation,
+            permuted_right,
+            segments: vec![witness],
+        })
+    }
+
+    /// The witness for one pair of built (sub)queries: the arity fast path,
+    /// then the return-element permutation loop over `q2`'s RETURN items.
+    /// Returns the column permutation that closed the proof (the identity on
+    /// the arity fast path) with its witness.
+    fn pair_witness(
+        &self,
+        q2: &Query,
+        built1: &BuildOutput,
+        built2: &BuildOutput,
+    ) -> Result<(Vec<usize>, SegmentWitness), String> {
         if built1.columns != built2.columns {
-            if crate::both_always_empty(&built1, &built2, true) {
-                return Ok(Evidence::Equivalence {
-                    column_permutation: (0..built1.columns).collect(),
-                    permuted_right: None,
-                    segments: vec![SegmentWitness {
-                        left: Gx::Zero,
-                        right: Gx::Zero,
-                        proof: Proof::Identical,
-                    }],
-                });
+            if crate::both_always_empty(built1, built2, false) {
+                let empty =
+                    SegmentWitness { left: Gx::Zero, right: Gx::Zero, proof: Proof::Identical };
+                return Ok(((0..built1.columns).collect(), empty));
             }
             return Err(format!(
                 "the queries return {} and {} columns and are not both empty",
@@ -231,88 +269,59 @@ impl GraphQE {
             .into_iter()
             .take(self.max_column_permutations)
         {
-            let identity = crate::is_identity(&permutation);
-            let candidate = if identity {
-                built2.clone()
-            } else {
-                match build_query(&crate::permute_returns(nq2, &permutation)) {
-                    Ok(output) => output,
-                    Err(_) => continue,
-                }
-            };
-            if let Some(record) = witness::prove_with_witness(&built1.expr, &candidate.expr) {
-                let permuted_right = if identity {
-                    None
-                } else {
-                    Some(query_to_string(&crate::permute_returns(nq2, &permutation)))
-                };
-                return Ok(Evidence::Equivalence {
-                    column_permutation: permutation,
-                    permuted_right,
-                    segments: vec![segment_of(&record)],
-                });
-            }
-        }
-        Err("could not re-derive an equivalence witness".to_string())
-    }
-
-    /// The witness for one divide-and-conquer segment pair, with the
-    /// column-permutation loop folded into the segment's right build.
-    /// Returns the witness plus the segment's left RETURN arity.
-    fn segment_witness(&self, q1: &Query, q2: &Query) -> Result<(SegmentWitness, usize), String> {
-        let built1 = build_query(q1).map_err(|e| e.to_string())?;
-        let built2 = build_query(q2).map_err(|e| e.to_string())?;
-        if built1.columns != built2.columns {
-            if crate::both_always_empty(&built1, &built2, true) {
-                return Ok((
-                    SegmentWitness { left: Gx::Zero, right: Gx::Zero, proof: Proof::Identical },
-                    built1.columns,
-                ));
-            }
-            return Err(format!(
-                "segment arity mismatch: {} vs {} columns",
-                built1.columns, built2.columns
-            ));
-        }
-        for permutation in crate::column_permutations(&built1.column_kinds, &built2.column_kinds)
-            .into_iter()
-            .take(self.max_column_permutations)
-        {
+            let permuted;
             let candidate = if crate::is_identity(&permutation) {
-                built2.clone()
+                built2
             } else {
                 match build_query(&crate::permute_returns(q2, &permutation)) {
-                    Ok(output) => output,
+                    Ok(output) => {
+                        permuted = output;
+                        &permuted
+                    }
                     Err(_) => continue,
                 }
             };
             if let Some(record) = witness::prove_with_witness(&built1.expr, &candidate.expr) {
-                return Ok((segment_of(&record), built1.columns));
+                return Ok((permutation, segment_of(&record)));
             }
         }
-        Err("could not re-derive a witness for a divide-and-conquer segment".to_string())
+        Err("could not derive an equivalence witness".to_string())
     }
 }
 
-/// The per-query attestation: pretty-printed source, the full normalization
-/// derivation, and the fixpoint. Returns the normalized query alongside so
-/// the equivalence evidence builds on exactly what the certificate records.
-fn query_cert(parsed: &Query) -> (QueryCert, Query) {
-    let (normalized, steps) = cypher_normalizer::normalize_query_with_derivation(parsed);
-    let cert = QueryCert {
-        source: query_to_string(parsed),
-        steps: steps
-            .iter()
-            .map(|step| DerivationStep {
-                rule: step.rule.to_string(),
-                part: step.part,
-                clause: step.clause,
-                after: query_to_string(&step.after),
+impl NormalizedStages {
+    /// The per-query attestation: pretty-printed source, the full
+    /// normalization derivation, and its fixpoint. Derived on the first
+    /// certificate request for this query and kept in the entry. Fails when
+    /// the derivation's fixpoint is not the entry's normalized form, because
+    /// the equivalence evidence is built from the latter.
+    fn query_cert(&self) -> Result<&QueryCert, String> {
+        self.cert
+            .get_or_init(|| {
+                let (normalized, steps) =
+                    cypher_normalizer::normalize_query_with_derivation(&self.source);
+                if normalized != self.normalized {
+                    return Err("the normalization derivation ends in a different query than \
+                                the normalized form the prover used"
+                        .to_string());
+                }
+                Ok(QueryCert {
+                    source: query_to_string(&self.source),
+                    steps: steps
+                        .iter()
+                        .map(|step| DerivationStep {
+                            rule: step.rule.to_string(),
+                            part: step.part,
+                            clause: step.clause,
+                            after: query_to_string(&step.after),
+                        })
+                        .collect(),
+                    normalized: query_to_string(&normalized),
+                })
             })
-            .collect(),
-        normalized: query_to_string(&normalized),
-    };
-    (cert, normalized)
+            .as_ref()
+            .map_err(Clone::clone)
+    }
 }
 
 /// The NOT_EQUIVALENT evidence: the counterexample graph plus both result
@@ -525,7 +534,7 @@ fn term_of(term: &GTerm) -> GxTerm {
     match term {
         GTerm::Var(v) => GxTerm::Var(VarId(v.0)),
         GTerm::OutCol(i) => GxTerm::OutCol(*i),
-        // Certificates erase typing hints: evidence is always re-derived
+        // Certificates erase typing hints: evidence always comes
         // from a plain (unhinted) build, so hinted columns cannot actually
         // reach this conversion; mapping them to the untyped column keeps
         // the certificate format hint-free either way.

@@ -153,7 +153,8 @@ const DEFAULT_NORMALIZE_CACHE_CAPACITY: usize = 4096;
 /// computed once process-wide and shared across threads (`Arc<Query>` and
 /// [`BuildOutput`] are plain trees — `Send + Sync` is compile-enforced
 /// below). Obtained through [`normalized_stages`]; a warm re-certification
-/// skips both `rule_normalize` and `gexpr_build` entirely.
+/// skips both `rule_normalize` and `gexpr_build` entirely, and certificate
+/// emission reuses the same entry.
 pub struct NormalizedStages {
     /// The parse-cache entry this was derived from. Holding it pins the
     /// allocation, so the address key below can never be reused by a
@@ -165,6 +166,10 @@ pub struct NormalizedStages {
     /// that needs it. Build errors are memoized too — `gexpr` is limits-free,
     /// so its outcome is a deterministic property of the query.
     build: Mutex<Option<Result<BuildOutput, BuildError>>>,
+    /// The certificate's attestation of `source` (source text, normalization
+    /// derivation, fixpoint), filled by the first certificate request for
+    /// this query and never by the prove path.
+    cert: OnceLock<Result<graphqe_checker::cert::QueryCert, String>>,
 }
 
 // The point of the shared cache: entries cross threads. A field that
@@ -175,6 +180,10 @@ const _: () = {
 };
 
 impl NormalizedStages {
+    fn new(source: Arc<Query>, normalized: Query) -> Self {
+        NormalizedStages { source, normalized, build: Mutex::new(None), cert: OnceLock::new() }
+    }
+
     /// The normalized (Table II) form of the source query.
     pub fn normalized(&self) -> &Query {
         &self.normalized
@@ -215,6 +224,26 @@ fn normalize_cache() -> &'static Mutex<NormalizeCache> {
 static NORMALIZE_CACHE_HITS: AtomicU64 = AtomicU64::new(0);
 static NORMALIZE_CACHE_MISSES: AtomicU64 = AtomicU64::new(0);
 static NORMALIZE_CACHE_EVICTIONS: AtomicU64 = AtomicU64::new(0);
+
+#[cfg(test)]
+thread_local! {
+    /// The calling thread's share of the normalize-cache `(hits, misses)`,
+    /// so a test can assert on its own lookups while other tests prove in
+    /// parallel.
+    static THREAD_NORMALIZE_TALLY: std::cell::Cell<(u64, u64)> =
+        const { std::cell::Cell::new((0, 0)) };
+}
+
+/// Counts one normalize-cache lookup: process-wide, and per thread in tests.
+fn count_normalize_lookup(hit: bool) {
+    let counter = if hit { &NORMALIZE_CACHE_HITS } else { &NORMALIZE_CACHE_MISSES };
+    counter.fetch_add(1, Ordering::Relaxed);
+    #[cfg(test)]
+    THREAD_NORMALIZE_TALLY.with(|tally| {
+        let (hits, misses) = tally.get();
+        tally.set(if hit { (hits + 1, misses) } else { (hits, misses + 1) });
+    });
+}
 
 /// Process-wide hit/miss counters of the normalize cache.
 pub fn normalize_cache_stats() -> (u64, u64) {
@@ -259,20 +288,16 @@ pub fn normalized_stages(query: &Arc<Query>) -> Result<Arc<NormalizedStages>, li
     let cached = normalize_cache().lock().unwrap_or_else(|poison| poison.into_inner()).get(&key);
     if let Some(entry) = cached {
         if Arc::ptr_eq(&entry.source, query) {
-            NORMALIZE_CACHE_HITS.fetch_add(1, Ordering::Relaxed);
+            count_normalize_lookup(true);
             return Ok(entry);
         }
         // Address reuse: the parse cache evicted the query that owned this
         // address and a later allocation landed on it. Fall through to a
         // miss; the insert below overwrites the stale entry.
     }
-    NORMALIZE_CACHE_MISSES.fetch_add(1, Ordering::Relaxed);
+    count_normalize_lookup(false);
     let (normalized, _report) = cypher_normalizer::try_normalize_query_with_report(query)?;
-    let entry = Arc::new(NormalizedStages {
-        source: Arc::clone(query),
-        normalized,
-        build: Mutex::new(None),
-    });
+    let entry = Arc::new(NormalizedStages::new(Arc::clone(query), normalized));
     if limits::trip().is_none() {
         let evicted = normalize_cache()
             .lock()
@@ -1790,26 +1815,25 @@ mod tests {
     fn normalize_cache_replays_warm_certifications() {
         let _serial = NORMALIZE_CACHE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let prover = prover();
+        // The counts are this thread's own lookups: other tests prove in
+        // parallel and move the process-wide counters at any time.
+        let stats = || THREAD_NORMALIZE_TALLY.with(|tally| tally.get());
         // A unique text whose normalization does real work (undirected
         // relationship → union of directions).
         let text = "MATCH (nc_hit_test)-[r]-(m) RETURN nc_hit_test";
-        let (_, misses_before) = normalize_cache_stats();
+        let (_, misses_before) = stats();
         assert!(prover.prove(text, text).is_equivalent());
-        let (hits_mid, misses_mid) = normalize_cache_stats();
+        let (hits_mid, misses_mid) = stats();
         assert!(misses_mid > misses_before, "first sight of a query must miss");
         // Warm re-certification: both sides replay from the cache.
         assert!(prover.prove(text, text).is_equivalent());
-        let (hits_after, _) = normalize_cache_stats();
+        let (hits_after, _) = stats();
         assert!(hits_after >= hits_mid + 2, "warm re-certification must hit per side");
         // An opted-out prover bypasses the cache entirely.
         let uncached = GraphQE { use_normalize_cache: false, ..GraphQE::new() };
-        let frozen = normalize_cache_stats();
+        let frozen = stats();
         assert!(uncached.prove(text, text).is_equivalent());
-        assert_eq!(
-            normalize_cache_stats(),
-            frozen,
-            "use_normalize_cache: false must not touch the cache"
-        );
+        assert_eq!(stats(), frozen, "use_normalize_cache: false must not touch the cache");
     }
 
     #[test]

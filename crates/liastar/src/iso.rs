@@ -307,7 +307,7 @@ pub mod ids {
                 unify_node(store, a, b, mapping)
             }
             (ANode::Mul(a), ANode::Mul(b)) | (ANode::Add(a), ANode::Add(b)) => {
-                unify_multiset(store, &a, &b, mapping)
+                match_multiset(store, &a, &b, mapping).is_some()
             }
             (ANode::Sum(va, ba), ANode::Sum(vb, bb)) => {
                 va.len() == vb.len() && unify_node(store, ba, bb, mapping)
@@ -316,18 +316,42 @@ pub mod ids {
         }
     }
 
-    /// Id-native mirror of [`super::unify_multiset`].
+    /// Id-native mirror of [`super::unify_multiset`] that also returns the
+    /// bijection it found: entry `i` is the index of the right element
+    /// matched to `left[i]`. The pairs unify in left order under one shared
+    /// mapping, which is how a certificate checker replays them.
     pub fn unify_multiset(
         store: &mut GStore,
         left: &[NodeId],
         right: &[NodeId],
         mapping: &mut VarMapping,
-    ) -> bool {
-        if left.len() != right.len() {
-            return false;
+    ) -> Option<Vec<usize>> {
+        let owner = match_multiset(store, left, right, mapping)?;
+        let mut assignment = vec![0; left.len()];
+        for (index, &position) in owner.iter().enumerate() {
+            assignment[position] = index;
         }
-        let mut used = vec![false; right.len()];
-        unify_multiset_from(store, left, right, 0, &mut used, mapping)
+        Some(assignment)
+    }
+
+    /// Marks a right element no left element has claimed yet.
+    const UNCLAIMED: usize = usize::MAX;
+
+    /// The backtracking search behind [`unify_multiset`]. On success returns,
+    /// per right element, the left position it was matched to; the search
+    /// state is that single vector, so matching nested products costs no
+    /// more than a `used` bitmap would.
+    fn match_multiset(
+        store: &mut GStore,
+        left: &[NodeId],
+        right: &[NodeId],
+        mapping: &mut VarMapping,
+    ) -> Option<Vec<usize>> {
+        if left.len() != right.len() {
+            return None;
+        }
+        let mut owner = vec![UNCLAIMED; right.len()];
+        unify_multiset_from(store, left, right, 0, &mut owner, mapping).then_some(owner)
     }
 
     fn unify_multiset_from(
@@ -335,7 +359,7 @@ pub mod ids {
         left: &[NodeId],
         right: &[NodeId],
         position: usize,
-        used: &mut [bool],
+        owner: &mut [usize],
         mapping: &mut VarMapping,
     ) -> bool {
         if position == left.len() {
@@ -343,16 +367,16 @@ pub mod ids {
         }
         let first = left[position];
         for index in 0..right.len() {
-            if used[index] {
+            if owner[index] != UNCLAIMED {
                 continue;
             }
             let mark = mapping.checkpoint();
             if unify_node(store, first, right[index], mapping) {
-                used[index] = true;
-                if unify_multiset_from(store, left, right, position + 1, used, mapping) {
+                owner[index] = position;
+                if unify_multiset_from(store, left, right, position + 1, owner, mapping) {
                     return true;
                 }
-                used[index] = false;
+                owner[index] = UNCLAIMED;
             }
             mapping.rollback_to(mark);
         }

@@ -32,7 +32,10 @@
 //! SMT simplification, isomorphism matching, class counting — operates
 //! directly on interned `NodeId`s. No `GExpr` tree is materialized between
 //! stages, the caches key on ids natively, and the iso matcher short-circuits
-//! in O(1) when both sides are the same interned node.
+//! in O(1) when both sides are the same interned node. The same decide
+//! emits certificate witnesses: it is generic over a recorder, the proving
+//! path passes the no-op one, and [`witness::prove_with_witness`] the
+//! recording one.
 //!
 //! The paper-faithful **tree pipeline** (reference normalizer, cloning
 //! matcher, no caches) is kept behind [`DecideOptions::tree_normalizer`] as
@@ -143,24 +146,91 @@ pub fn try_check_equivalence_with_opts(
         // check to `Unknown`, which only weakens simplification — soundly).
         return Ok(tree::check_equivalence(g1, g2));
     }
-    let mut stats = DecisionStats::default();
     gexpr::arena::with_thread_store(|store| {
-        sync_caches_to_epoch(store.epoch());
-        limits::checkpoint(limits::Stage::Decide)?;
-        let left = store.intern_expr(g1);
-        let right = store.intern_expr(g2);
-        let left = split_disjoint_squashes(store, left);
-        let right = split_disjoint_squashes(store, right);
-        let left = store.normalize_id(left);
-        let right = store.normalize_id(right);
-        // Quick path: hash-consing makes post-normalization syntactic
-        // equality a single id comparison.
-        if left == right {
-            return Ok((Decision::Proved, stats));
-        }
-        decide(store, left, right, &mut stats)
+        let (left, right) = prepare(store, g1, g2)?;
+        decide_prepared(store, left, right, &mut DecisionStats::default(), &mut NoRecord)
     })
 }
+
+/// Interns both inputs into the thread's arena, splits disjoint squashes and
+/// normalizes: the id-native pipeline up to the point where [`decide`]
+/// compares the two sides.
+pub(crate) fn prepare(
+    store: &mut GStore,
+    g1: &GExpr,
+    g2: &GExpr,
+) -> Result<(ArenaNodeId, ArenaNodeId), limits::Trip> {
+    sync_caches_to_epoch(store.epoch());
+    limits::checkpoint(limits::Stage::Decide)?;
+    let left = store.intern_expr(g1);
+    let right = store.intern_expr(g2);
+    let left = split_disjoint_squashes(store, left);
+    let right = split_disjoint_squashes(store, right);
+    Ok((store.normalize_id(left), store.normalize_id(right)))
+}
+
+/// The decision on two [`prepare`]d sides, reporting each proof step to
+/// `recorder`.
+pub(crate) fn decide_prepared<R: Recorder>(
+    store: &mut GStore,
+    left: ArenaNodeId,
+    right: ArenaNodeId,
+    stats: &mut DecisionStats,
+    recorder: &mut R,
+) -> Result<(Decision, DecisionStats), limits::Trip> {
+    // Quick path: hash-consing makes post-normalization syntactic equality a
+    // single id comparison.
+    if left == right {
+        recorder.identical();
+        return Ok((Decision::Proved, stats.clone()));
+    }
+    decide(store, left, right, stats, recorder)
+}
+
+// ---------------------------------------------------------------------------
+// Proof recording
+// ---------------------------------------------------------------------------
+
+/// Which side of the pair a recorded step belongs to.
+#[derive(Clone, Copy)]
+pub(crate) enum Side {
+    /// The first G-expression.
+    Left,
+    /// The second G-expression.
+    Right,
+}
+
+/// The observer the id-native decide reports its proof steps to, in the
+/// order it takes them. The decide is generic over it: the proving path runs
+/// with [`NoRecord`], whose hooks are empty and monomorphize away, and
+/// certificate emission runs the very same decide with the recorder in
+/// [`witness`]. One control flow serves both, so prover and certifier cannot
+/// disagree.
+pub(crate) trait Recorder {
+    /// Both sides are squashes; the decision continues on their bodies.
+    fn peel(&mut self) {}
+    /// The remaining sides are the same interned node.
+    fn identical(&mut self) {}
+    /// The summands of the next side (left, then right) follow; it has
+    /// `total` of them.
+    fn side(&mut self, _total: usize) {}
+    /// The summand at `index` of the current side was pruned as identically
+    /// zero (`result == None`) or simplified to `result` by removing the
+    /// implied atoms `removed`, in removal order.
+    fn summand(&mut self, _index: usize, _removed: &[ArenaNodeId], _result: Option<ArenaNodeId>) {}
+    /// The kept summands matched bijectively: left kept summand `i` pairs
+    /// with right kept summand `assignment[i]`.
+    fn bijection(&mut self, _assignment: Vec<usize>) {}
+    /// The next kept summand of `side` falls into isomorphism class `class`.
+    fn class_of(&mut self, _side: Side, _class: usize) {}
+    /// Class counting closed the proof with these representatives and counts.
+    fn classes(&mut self, _representatives: &[ArenaNodeId], _left: &[i64], _right: &[i64]) {}
+}
+
+/// The recorder of the proving path: records nothing.
+pub(crate) struct NoRecord;
+
+impl Recorder for NoRecord {}
 
 // ---------------------------------------------------------------------------
 // Caches (id-keyed, thread-local, epoch-synced) and their counters
@@ -172,9 +242,9 @@ thread_local! {
         RefCell::new(HashMap::new());
     /// Cache of [`simplify_summand`] results, keyed by the summand's arena
     /// node id: the simplified summand (`None` = pruned as identically zero),
-    /// the number of implied atoms removed (replayed into the stats), and a
-    /// recency stamp driving the cross-epoch carry-over (see
-    /// [`reset_thread_caches`]).
+    /// the implied atoms removed (replayed into the stats and into a
+    /// recorded proof), and a recency stamp driving the cross-epoch
+    /// carry-over (see [`reset_thread_caches`]).
     static SUMMAND_CACHE: RefCell<HashMap<ArenaNodeId, SummandEntry>> =
         RefCell::new(HashMap::new());
     /// Monotonic access counter stamping [`SUMMAND_CACHE`] entries.
@@ -184,11 +254,11 @@ thread_local! {
 }
 
 /// One memoized summand simplification: the result id (`None` = pruned as
-/// identically zero), the implied-atom count, and the last-access stamp.
-#[derive(Clone, Copy)]
+/// identically zero), the removed implied atoms in removal order, and the
+/// last-access stamp.
 struct SummandEntry {
     result: Option<ArenaNodeId>,
-    implied: usize,
+    removed: Vec<ArenaNodeId>,
     stamp: u64,
 }
 
@@ -288,23 +358,26 @@ pub fn reset_thread_caches() {
         // directly without going through this function), the cached ids are
         // stale and must not be externalized — carry nothing over.
         let cache_in_sync = CACHE_EPOCH.with(|epoch| epoch.get()) == store.epoch();
-        let mut hottest: Vec<(ArenaNodeId, SummandEntry)> = if cache_in_sync {
-            SUMMAND_CACHE.with(|cache| cache.borrow().iter().map(|(k, v)| (*k, *v)).collect())
+        let externalized: Vec<(GExpr, Option<GExpr>, Vec<GExpr>)> = if cache_in_sync {
+            SUMMAND_CACHE.with(|cache| {
+                let cache = cache.borrow();
+                let mut hottest: Vec<(&ArenaNodeId, &SummandEntry)> = cache.iter().collect();
+                hottest.sort_by_key(|(_, entry)| std::cmp::Reverse(entry.stamp));
+                hottest.truncate(SUMMAND_CARRY_OVER);
+                hottest
+                    .into_iter()
+                    .map(|(key, entry)| {
+                        (
+                            store.extern_expr(*key),
+                            entry.result.map(|id| store.extern_expr(id)),
+                            entry.removed.iter().map(|id| store.extern_expr(*id)).collect(),
+                        )
+                    })
+                    .collect()
+            })
         } else {
             Vec::new()
         };
-        hottest.sort_by_key(|(_, entry)| std::cmp::Reverse(entry.stamp));
-        hottest.truncate(SUMMAND_CARRY_OVER);
-        let externalized: Vec<(GExpr, Option<GExpr>, usize)> = hottest
-            .iter()
-            .map(|(key, entry)| {
-                (
-                    store.extern_expr(*key),
-                    entry.result.map(|id| store.extern_expr(id)),
-                    entry.implied,
-                )
-            })
-            .collect();
 
         store.reset_epoch();
 
@@ -316,10 +389,11 @@ pub fn reset_thread_caches() {
             // `externalized` is ordered most-recent-first; re-insert in
             // reverse so fresh stamps preserve the relative recency (the
             // hottest entry gets the newest stamp, not the oldest).
-            for (key, result, implied) in externalized.into_iter().rev() {
+            for (key, result, removed) in externalized.into_iter().rev() {
                 let key = store.intern_expr(&key);
                 let result = result.map(|expr| store.intern_expr(&expr));
-                cache.insert(key, SummandEntry { result, implied, stamp: next_summand_stamp() });
+                let removed = removed.iter().map(|expr| store.intern_expr(expr)).collect();
+                cache.insert(key, SummandEntry { result, removed, stamp: next_summand_stamp() });
             }
         });
     });
@@ -332,30 +406,36 @@ pub fn reset_thread_caches() {
 // ---------------------------------------------------------------------------
 
 /// Recursive decision on interned ids: squashes are peeled in lock-step, then
-/// the summand lists are compared.
-fn decide(
+/// the summand lists are compared. Every step is reported to `recorder`.
+fn decide<R: Recorder>(
     store: &mut GStore,
     left: ArenaNodeId,
     right: ArenaNodeId,
     stats: &mut DecisionStats,
+    recorder: &mut R,
 ) -> Result<(Decision, DecisionStats), limits::Trip> {
     limits::checkpoint(limits::Stage::Decide)?;
     if let (ANode::Squash(a), ANode::Squash(b)) = (store.node_of(left), store.node_of(right)) {
         // ‖A‖ = ‖B‖ is implied by A = B (sufficient condition).
         let (a, b) = (*a, *b);
+        recorder.peel();
         if a == b {
+            recorder.identical();
             return Ok((Decision::Proved, stats.clone()));
         }
-        return decide(store, a, b, stats);
+        return decide(store, a, b, stats, recorder);
     }
 
-    let left_summands = simplify_summands(store, to_summands(store, left), stats)?;
-    let right_summands = simplify_summands(store, to_summands(store, right), stats)?;
+    let left_summands = simplify_summands(store, to_summands(store, left), stats, recorder)?;
+    let right_summands = simplify_summands(store, to_summands(store, right), stats, recorder)?;
     stats.summands = (left_summands.len(), right_summands.len());
 
     // Structural bijection between the summand multisets, on ids with the
     // undo-trail matcher (same-node summand pairs match in O(1)).
-    if iso::ids::unify_multiset(store, &left_summands, &right_summands, &mut VarMapping::new()) {
+    if let Some(assignment) =
+        iso::ids::unify_multiset(store, &left_summands, &right_summands, &mut VarMapping::new())
+    {
+        recorder.bijection(assignment);
         return Ok((Decision::Proved, stats.clone()));
     }
 
@@ -374,11 +454,13 @@ fn decide(
         limits::checkpoint(limits::Stage::Decide)?;
         let class = class_index(store, &mut classes, &mut left_counts, &mut right_counts, *summand);
         left_counts[class] += 1;
+        recorder.class_of(Side::Left, class);
     }
     for summand in &right_summands {
         limits::checkpoint(limits::Stage::Decide)?;
         let class = class_index(store, &mut classes, &mut left_counts, &mut right_counts, *summand);
         right_counts[class] += 1;
+        recorder.class_of(Side::Right, class);
     }
 
     // g1 = Σ count_l[i]·v_i, g2 = Σ count_r[i]·v_i with v_i ≥ 1 (a summand's
@@ -399,7 +481,10 @@ fn decide(
     let rhs = if right_sum.is_empty() { Term::int(0) } else { Term::add(right_sum) };
     solver.assert(Term::neq(lhs, rhs));
     match solver.check() {
-        SmtResult::Unsat => Ok((Decision::Proved, stats.clone())),
+        SmtResult::Unsat => {
+            recorder.classes(&classes, &left_counts, &right_counts);
+            Ok((Decision::Proved, stats.clone()))
+        }
         _ => Ok((Decision::NotProved, stats.clone())),
     }
 }
@@ -503,18 +588,20 @@ fn to_summands(store: &GStore, expr: ArenaNodeId) -> Vec<ArenaNodeId> {
     }
 }
 
-/// SMT-backed simplification of summands: zero pruning and implied-atom
-/// elimination, entirely on interned ids, with a cooperative limit
-/// checkpoint per summand.
-fn simplify_summands(
+/// SMT-backed simplification of one side's summands: zero pruning and
+/// implied-atom elimination, entirely on interned ids, with a cooperative
+/// limit checkpoint per summand.
+fn simplify_summands<R: Recorder>(
     store: &mut GStore,
     summands: Vec<ArenaNodeId>,
     stats: &mut DecisionStats,
+    recorder: &mut R,
 ) -> Result<Vec<ArenaNodeId>, limits::Trip> {
+    recorder.side(summands.len());
     let mut result = Vec::new();
-    for summand in summands {
+    for (index, summand) in summands.into_iter().enumerate() {
         limits::checkpoint(limits::Stage::Decide)?;
-        match simplify_summand(store, summand, stats) {
+        match simplify_summand(store, summand, stats, index, recorder) {
             Some(simplified) => result.push(simplified),
             None => stats.pruned_zero += 1,
         }
@@ -526,16 +613,21 @@ fn simplify_summands(
 /// hash-consed id — with **no extern/intern round trip** — so the SMT solver
 /// runs once per distinct summand per thread: across permutation retries of
 /// the same pair and across structurally overlapping pairs of a batch. This
-/// is the single hottest SMT call site of the prover.
-fn simplify_summand(
+/// is the single hottest SMT call site of the prover. A hit replays the
+/// removed atoms to `recorder` exactly as the miss that filled it reported
+/// them.
+fn simplify_summand<R: Recorder>(
     store: &mut GStore,
     summand: ArenaNodeId,
     stats: &mut DecisionStats,
+    index: usize,
+    recorder: &mut R,
 ) -> Option<ArenaNodeId> {
     let hit = SUMMAND_CACHE.with(|cache| {
         cache.borrow_mut().get_mut(&summand).map(|entry| {
             entry.stamp = next_summand_stamp();
-            (entry.result, entry.implied)
+            recorder.summand(index, &entry.removed, entry.result);
+            (entry.result, entry.removed.len())
         })
     });
     if let Some((result, implied)) = hit {
@@ -565,11 +657,12 @@ fn simplify_summand(
     let zero_check = smt::check_formula_cached(encode_product_ids(store, &factors));
     degraded |= matches!(zero_check, SmtResult::Unknown);
     if zero_check.is_unsat() {
+        recorder.summand(index, &[], None);
         if !limits::cancelled() {
             SUMMAND_CACHE.with(|cache| {
                 cache.borrow_mut().insert(
                     summand,
-                    SummandEntry { result: None, implied: 0, stamp: next_summand_stamp() },
+                    SummandEntry { result: None, removed: Vec::new(), stamp: next_summand_stamp() },
                 )
             });
         }
@@ -578,12 +671,12 @@ fn simplify_summand(
 
     // Implied-atom pruning: drop an atomic factor when the remaining factors
     // already force it to 1.
-    let mut implied = 0;
-    let mut index = 0;
-    while index < factors.len() {
-        if matches!(store.node_of(factors[index]), ANode::Atom(_)) && factors.len() > 1 {
+    let mut removed = Vec::new();
+    let mut position = 0;
+    while position < factors.len() {
+        if matches!(store.node_of(factors[position]), ANode::Atom(_)) && factors.len() > 1 {
             let mut others = factors.clone();
-            let candidate = others.remove(index);
+            let candidate = others.remove(position);
             let implication = Term::implies(
                 encode_product_ids(store, &others),
                 encode_factor_id(store, candidate),
@@ -591,22 +684,22 @@ fn simplify_summand(
             let validity = smt::check_formula_cached(Term::not(implication));
             degraded |= matches!(validity, SmtResult::Unknown);
             if validity.is_unsat() {
-                factors.remove(index);
-                implied += 1;
+                removed.push(factors.remove(position));
                 continue;
             }
         }
-        index += 1;
+        position += 1;
     }
-    stats.pruned_implied += implied;
+    stats.pruned_implied += removed.len();
 
     let body = store.mk_mul(factors);
     let result = store.mk_sum(vars, body);
+    recorder.summand(index, &removed, Some(result));
     if !degraded && !limits::cancelled() {
         SUMMAND_CACHE.with(|cache| {
             cache.borrow_mut().insert(
                 summand,
-                SummandEntry { result: Some(result), implied, stamp: next_summand_stamp() },
+                SummandEntry { result: Some(result), removed, stamp: next_summand_stamp() },
             )
         });
     }

@@ -1,9 +1,11 @@
-//! A witness-emitting variant of the paper-faithful tree pipeline.
+//! Proof witnesses recorded by the id-native decision procedure.
 //!
-//! [`prove_with_witness`] re-runs the reference decision procedure (the same
-//! algorithms as the private tree oracle in this crate: reference normalizer,
-//! cloning iso matcher, no caches) while recording everything an independent
-//! checker needs to re-validate the proof without re-running SMT:
+//! [`prove_with_witness`] runs the prover's own decide (arena interning,
+//! disjoint-squash splitting, normalization, summand simplification,
+//! isomorphism matching, class counting — with every thread-local cache the
+//! proving path uses) under a recording `Recorder`, and captures
+//! everything an independent checker needs to re-validate the proof without
+//! re-running SMT:
 //!
 //! - which summands were zero-pruned and which atoms were removed as implied
 //!   (so the structural simplification can be replayed);
@@ -13,48 +15,50 @@
 //! - the class representatives, per-summand assignments, and per-class
 //!   counts when class counting decided the proof.
 //!
-//! Emission is strictly off the hot path: the default arena pipeline is
-//! untouched, and callers invoke this module only when a certificate was
-//! requested.
+//! The recorder keeps arena ids while the decide runs and externs them to
+//! `GExpr` trees only once the proof is complete. A memoized summand
+//! simplification replays its removed atoms from the cache entry, so a
+//! witness emitted right after a prove re-pays no SMT call. The proving path
+//! records nothing: it runs the same decide with the no-op recorder.
 
-use gexpr::{normalize_tree, GExpr};
-use smt::{SmtResult, Solver, Term};
+use gexpr::arena::{GStore, NodeId};
+use gexpr::GExpr;
 
-use crate::iso::{cloning, VarMapping};
-use crate::{encode_factor, encode_product};
+use crate::{DecisionStats, Recorder, Side};
 
-/// One kept summand with its simplification record.
+/// One kept summand with its simplification record. Expressions are trees
+/// (`E = GExpr`) in a finished witness and arena ids while the decide runs.
 #[derive(Debug, Clone, PartialEq)]
-pub struct KeptRecord {
+pub struct KeptRecord<E = GExpr> {
     /// Index into the side's original summand list.
     pub index: usize,
     /// Atoms removed as SMT-implied, in removal order.
-    pub removed_atoms: Vec<GExpr>,
+    pub removed_atoms: Vec<E>,
     /// The simplified summand.
-    pub result: GExpr,
+    pub result: E,
 }
 
 /// One side's summand accounting.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SideRecord {
+pub struct SideRecord<E = GExpr> {
     /// Number of summands before pruning.
     pub total: usize,
     /// Indices of summands pruned as identically zero.
     pub zero_pruned: Vec<usize>,
     /// Surviving summands in original order.
-    pub kept: Vec<KeptRecord>,
+    pub kept: Vec<KeptRecord<E>>,
 }
 
 /// How the two sides' kept summands were matched.
 #[derive(Debug, Clone, PartialEq)]
-pub enum MatchingRecord {
+pub enum MatchingRecord<E = GExpr> {
     /// `(left kept position, right kept position)` pairs unifiable in order
     /// under a single shared variable mapping.
     Bijection(Vec<(usize, usize)>),
     /// Isomorphism-class counting with a final (trusted-free) count equality.
     Classes {
         /// Class representative expressions.
-        representatives: Vec<GExpr>,
+        representatives: Vec<E>,
         /// Class of each left kept summand.
         left_assign: Vec<usize>,
         /// Class of each right kept summand.
@@ -99,235 +103,154 @@ pub struct SegmentRecord {
     pub proof: ProofRecord,
 }
 
-/// Proves `g1 ≡ g2` with the reference tree pipeline, emitting a full
-/// witness. Returns `None` when the pipeline cannot establish equivalence
-/// (the caller falls back to reporting an emission failure — this does not
-/// happen for pairs the arena pipeline proved, which runs the same
-/// algorithms).
+/// Proves `g1 ≡ g2` with the id-native decision procedure, emitting a full
+/// witness. Returns `None` when the decision cannot establish equivalence
+/// (or a limit trips): the verdict and the witness come from one decide, so
+/// this happens exactly when [`crate::check_equivalence`] is not `Proved`.
 pub fn prove_with_witness(g1: &GExpr, g2: &GExpr) -> Option<SegmentRecord> {
-    let left = normalize_tree(&split_disjoint_squashes(g1));
-    let right = normalize_tree(&split_disjoint_squashes(g2));
-    if left == right {
-        return Some(SegmentRecord { left, right, proof: ProofRecord::Identical });
-    }
-    let proof = decide(&left, &right)?;
-    Some(SegmentRecord { left, right, proof })
+    gexpr::arena::with_thread_store(|store| {
+        let (left, right) = crate::prepare(store, g1, g2).ok()?;
+        let mut recording = Recording::default();
+        let (decision, _) = crate::decide_prepared(
+            store,
+            left,
+            right,
+            &mut DecisionStats::default(),
+            &mut recording,
+        )
+        .ok()?;
+        decision.is_proved().then(|| recording.finish(store, left, right))
+    })
 }
 
-fn decide(left: &GExpr, right: &GExpr) -> Option<ProofRecord> {
-    if let (GExpr::Squash(a), GExpr::Squash(b)) = (left, right) {
-        return Some(ProofRecord::Peel(Box::new(decide(a, b)?)));
+/// The recording [`Recorder`]: the proof steps of one decide, on arena ids.
+#[derive(Default)]
+struct Recording {
+    /// Squash layers peeled before the final step.
+    peels: usize,
+    /// The final step was a structural identity.
+    identical: bool,
+    /// The summand accounting of each side, left first, in report order.
+    sides: Vec<SideRecord<NodeId>>,
+    /// The class of each kept summand, per side.
+    classes: [Vec<usize>; 2],
+    matching: Option<MatchingRecord<NodeId>>,
+}
+
+impl Recorder for Recording {
+    fn peel(&mut self) {
+        self.peels += 1;
     }
 
-    let left_side = simplify_summands(to_summands(left));
-    let right_side = simplify_summands(to_summands(right));
-    let left_results: Vec<GExpr> = left_side.kept.iter().map(|k| k.result.clone()).collect();
-    let right_results: Vec<GExpr> = right_side.kept.iter().map(|k| k.result.clone()).collect();
-
-    if let Some(assignment) =
-        unify_multiset_recording(&left_results, &right_results, &VarMapping::new())
-    {
-        let pairs = assignment.into_iter().enumerate().collect();
-        return Some(ProofRecord::Summands(Box::new(SummandsRecord {
-            left: left_side,
-            right: right_side,
-            matching: MatchingRecord::Bijection(pairs),
-        })));
+    fn identical(&mut self) {
+        self.identical = true;
     }
 
-    let mut representatives: Vec<GExpr> = Vec::new();
-    let mut left_assign = Vec::new();
-    let mut right_assign = Vec::new();
-    for summand in &left_results {
-        left_assign.push(class_index(&mut representatives, summand));
-    }
-    for summand in &right_results {
-        right_assign.push(class_index(&mut representatives, summand));
-    }
-    let mut left_counts = vec![0usize; representatives.len()];
-    let mut right_counts = vec![0usize; representatives.len()];
-    for &class in &left_assign {
-        left_counts[class] += 1;
-    }
-    for &class in &right_assign {
-        right_counts[class] += 1;
+    fn side(&mut self, total: usize) {
+        self.sides.push(SideRecord { total, zero_pruned: Vec::new(), kept: Vec::new() });
     }
 
-    // The reference pipeline discharges count equality through the SMT
-    // solver; replicate that here so the emitted witness attests exactly what
-    // was proved. (The checker then re-verifies count equality directly.)
-    let mut solver = Solver::new();
-    let mut left_sum = Vec::new();
-    let mut right_sum = Vec::new();
-    for (index, _) in representatives.iter().enumerate() {
-        let v = Term::int_var(format!("class{index}"));
-        solver.assert(Term::ge(v.clone(), Term::int(1)));
-        left_sum.push(Term::MulConst(left_counts[index] as i64, Box::new(v.clone())));
-        right_sum.push(Term::MulConst(right_counts[index] as i64, Box::new(v)));
+    fn summand(&mut self, index: usize, removed: &[NodeId], result: Option<NodeId>) {
+        let side = self.sides.last_mut().expect("summands are reported after their side");
+        match result {
+            Some(result) => {
+                side.kept.push(KeptRecord { index, removed_atoms: removed.to_vec(), result })
+            }
+            None => side.zero_pruned.push(index),
+        }
     }
-    let lhs = if left_sum.is_empty() { Term::int(0) } else { Term::add(left_sum) };
-    let rhs = if right_sum.is_empty() { Term::int(0) } else { Term::add(right_sum) };
-    solver.assert(Term::neq(lhs, rhs));
-    if !matches!(solver.check(), SmtResult::Unsat) {
-        return None;
+
+    fn bijection(&mut self, assignment: Vec<usize>) {
+        self.matching =
+            Some(MatchingRecord::Bijection(assignment.into_iter().enumerate().collect()));
     }
-    Some(ProofRecord::Summands(Box::new(SummandsRecord {
-        left: left_side,
-        right: right_side,
-        matching: MatchingRecord::Classes {
-            representatives,
+
+    fn class_of(&mut self, side: Side, class: usize) {
+        self.classes[side as usize].push(class);
+    }
+
+    fn classes(&mut self, representatives: &[NodeId], left: &[i64], right: &[i64]) {
+        let counts = |counts: &[i64]| counts.iter().map(|&count| count as usize).collect();
+        let [left_assign, right_assign] = std::mem::take(&mut self.classes);
+        self.matching = Some(MatchingRecord::Classes {
+            representatives: representatives.to_vec(),
             left_assign,
             right_assign,
-            left_counts,
-            right_counts,
-        },
-    })))
+            left_counts: counts(left),
+            right_counts: counts(right),
+        });
+    }
 }
 
-fn class_index(representatives: &mut Vec<GExpr>, summand: &GExpr) -> usize {
-    for (index, representative) in representatives.iter().enumerate() {
-        if cloning::unify_expr(representative, summand, &VarMapping::new()).is_some() {
-            return index;
+impl Recording {
+    /// The recorded proof of the prepared pair `(left, right)`, externed to
+    /// trees.
+    fn finish(self, store: &GStore, left: NodeId, right: NodeId) -> SegmentRecord {
+        let extern_ = |id: NodeId| store.extern_expr(id);
+        let mut proof = if self.identical {
+            ProofRecord::Identical
+        } else {
+            let (Ok([left_side, right_side]), Some(matching)) =
+                (<[_; 2]>::try_from(self.sides), self.matching)
+            else {
+                unreachable!("a proved decide ends in an identity or a summand matching");
+            };
+            ProofRecord::Summands(Box::new(SummandsRecord {
+                left: left_side.map(extern_),
+                right: right_side.map(extern_),
+                matching: matching.map(extern_),
+            }))
+        };
+        for _ in 0..self.peels {
+            proof = ProofRecord::Peel(Box::new(proof));
+        }
+        SegmentRecord { left: extern_(left), right: extern_(right), proof }
+    }
+}
+
+impl<E> SideRecord<E> {
+    fn map<F>(self, f: impl Fn(E) -> F + Copy) -> SideRecord<F> {
+        SideRecord {
+            total: self.total,
+            zero_pruned: self.zero_pruned,
+            kept: self
+                .kept
+                .into_iter()
+                .map(|kept| KeptRecord {
+                    index: kept.index,
+                    removed_atoms: kept.removed_atoms.into_iter().map(f).collect(),
+                    result: f(kept.result),
+                })
+                .collect(),
         }
     }
-    representatives.push(summand.clone());
-    representatives.len() - 1
 }
 
-/// Left-position DFS over right candidates (ascending index, `used` flags),
-/// the same search as the cloning matcher but returning the original right
-/// index matched by each left position. The recorded pairs unify
-/// sequentially under one shared mapping by construction.
-fn unify_multiset_recording(
-    left: &[GExpr],
-    right: &[GExpr],
-    mapping: &VarMapping,
-) -> Option<Vec<usize>> {
-    if left.len() != right.len() {
-        return None;
-    }
-    let mut used = vec![false; right.len()];
-    let mut assignment = Vec::with_capacity(left.len());
-    fn recurse(
-        position: usize,
-        left: &[GExpr],
-        right: &[GExpr],
-        used: &mut [bool],
-        assignment: &mut Vec<usize>,
-        mapping: &VarMapping,
-    ) -> bool {
-        if position == left.len() {
-            return true;
+impl<E> MatchingRecord<E> {
+    fn map<F>(self, f: impl Fn(E) -> F) -> MatchingRecord<F> {
+        match self {
+            MatchingRecord::Bijection(pairs) => MatchingRecord::Bijection(pairs),
+            MatchingRecord::Classes {
+                representatives,
+                left_assign,
+                right_assign,
+                left_counts,
+                right_counts,
+            } => MatchingRecord::Classes {
+                representatives: representatives.into_iter().map(f).collect(),
+                left_assign,
+                right_assign,
+                left_counts,
+                right_counts,
+            },
         }
-        for (index, candidate) in right.iter().enumerate() {
-            if used[index] {
-                continue;
-            }
-            if let Some(extended) = cloning::unify_expr(&left[position], candidate, mapping) {
-                used[index] = true;
-                assignment.push(index);
-                if recurse(position + 1, left, right, used, assignment, &extended) {
-                    return true;
-                }
-                assignment.pop();
-                used[index] = false;
-            }
-        }
-        false
-    }
-    if recurse(0, left, right, &mut used, &mut assignment, mapping) {
-        Some(assignment)
-    } else {
-        None
-    }
-}
-
-fn to_summands(expr: &GExpr) -> Vec<GExpr> {
-    match expr {
-        GExpr::Add(items) => items.clone(),
-        GExpr::Zero => Vec::new(),
-        other => vec![other.clone()],
-    }
-}
-
-fn simplify_summands(summands: Vec<GExpr>) -> SideRecord {
-    let total = summands.len();
-    let mut zero_pruned = Vec::new();
-    let mut kept = Vec::new();
-    for (index, summand) in summands.into_iter().enumerate() {
-        match simplify_summand(&summand) {
-            Some((removed_atoms, result)) => kept.push(KeptRecord { index, removed_atoms, result }),
-            None => zero_pruned.push(index),
-        }
-    }
-    SideRecord { total, zero_pruned, kept }
-}
-
-fn simplify_summand(summand: &GExpr) -> Option<(Vec<GExpr>, GExpr)> {
-    let (vars, body) = match summand {
-        GExpr::Sum { vars, body } => (vars.clone(), (**body).clone()),
-        other => (Vec::new(), other.clone()),
-    };
-    let mut factors = match body {
-        GExpr::Mul(items) => items,
-        other => vec![other],
-    };
-
-    if smt::check_formula(encode_product(&factors)).is_unsat() {
-        return None;
-    }
-
-    let mut removed = Vec::new();
-    let mut index = 0;
-    while index < factors.len() {
-        if matches!(factors[index], GExpr::Atom(_)) && factors.len() > 1 {
-            let mut others = factors.clone();
-            let candidate = others.remove(index);
-            let implication = Term::implies(encode_product(&others), encode_factor(&candidate));
-            if smt::is_valid(implication) {
-                removed.push(factors.remove(index));
-                continue;
-            }
-        }
-        index += 1;
-    }
-
-    Some((removed, GExpr::sum(vars, GExpr::mul(factors))))
-}
-
-fn disjoint(a: &GExpr, b: &GExpr) -> bool {
-    let product = Term::and(vec![encode_factor(a), encode_factor(b)]);
-    smt::check_formula(product).is_unsat()
-}
-
-fn split_disjoint_squashes(expr: &GExpr) -> GExpr {
-    match expr {
-        GExpr::Squash(inner) => {
-            let inner = split_disjoint_squashes(inner);
-            if let GExpr::Add(items) = &inner {
-                let all_unit = items.iter().all(gexpr::is_zero_one);
-                let pairwise_disjoint = all_unit
-                    && items
-                        .iter()
-                        .enumerate()
-                        .all(|(i, a)| items.iter().skip(i + 1).all(|b| disjoint(a, b)));
-                if pairwise_disjoint {
-                    return inner;
-                }
-            }
-            GExpr::squash(inner)
-        }
-        GExpr::Mul(items) => GExpr::mul(items.iter().map(split_disjoint_squashes).collect()),
-        GExpr::Add(items) => GExpr::add(items.iter().map(split_disjoint_squashes).collect()),
-        GExpr::Not(inner) => GExpr::not(split_disjoint_squashes(inner)),
-        GExpr::Sum { vars, body } => GExpr::sum(vars.clone(), split_disjoint_squashes(body)),
-        other => other.clone(),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::iso::{cloning, VarMapping};
     use cypher_parser::parse_query;
     use gexpr::build_query;
 
@@ -335,27 +258,27 @@ mod tests {
         build_query(&parse_query(query).unwrap()).unwrap().expr
     }
 
+    const PAIRS: [(&str, &str); 4] = [
+        ("MATCH (n1) RETURN n1", "MATCH (n1) RETURN n1"),
+        ("MATCH (n1) RETURN n1.a", "MATCH (n2) RETURN n2.a"),
+        ("MATCH (n1) WHERE n1.a > 5 AND n1.a > 3 RETURN n1", "MATCH (n1) WHERE n1.a > 5 RETURN n1"),
+        ("MATCH (n:Person) RETURN n", "MATCH (n:Book) RETURN n"),
+    ];
+
     #[test]
     fn witness_matches_the_tree_pipeline_verdict() {
-        let pairs = [
-            ("MATCH (n1) RETURN n1", "MATCH (n1) RETURN n1"),
-            ("MATCH (n1) RETURN n1.a", "MATCH (n2) RETURN n2.a"),
-            (
-                "MATCH (n1) WHERE n1.a > 5 AND n1.a > 3 RETURN n1",
-                "MATCH (n1) WHERE n1.a > 5 RETURN n1",
-            ),
-        ];
-        for (q1, q2) in pairs {
-            let g1 = gexpr_of(q1);
-            let g2 = gexpr_of(q2);
-            let (decision, _) = crate::check_equivalence_with_opts(
+        for (q1, q2) in PAIRS {
+            let (g1, g2) = (gexpr_of(q1), gexpr_of(q2));
+            let proved = crate::check_equivalence(&g1, &g2).is_proved();
+            let by_tree = crate::check_equivalence_with_opts(
                 &g1,
                 &g2,
                 crate::DecideOptions { tree_normalizer: true },
-            );
-            assert!(decision.is_proved(), "premise: {q1} ≡ {q2}");
-            let witness = prove_with_witness(&g1, &g2);
-            assert!(witness.is_some(), "no witness for {q1} ≡ {q2}");
+            )
+            .0
+            .is_proved();
+            assert_eq!(proved, by_tree, "pipelines disagree on {q1} vs {q2}");
+            assert_eq!(prove_with_witness(&g1, &g2).is_some(), proved, "{q1} vs {q2}");
         }
     }
 
@@ -383,27 +306,46 @@ mod tests {
         }
     }
 
+    fn removed_count(proof: &ProofRecord) -> usize {
+        match proof {
+            ProofRecord::Identical => 0,
+            ProofRecord::Peel(inner) => removed_count(inner),
+            ProofRecord::Summands(record) => record
+                .left
+                .kept
+                .iter()
+                .chain(record.right.kept.iter())
+                .map(|k| k.removed_atoms.len())
+                .sum(),
+        }
+    }
+
     #[test]
     fn implied_atom_removal_is_recorded() {
         let g1 = gexpr_of("MATCH (n1) WHERE n1.a > 5 AND n1.a > 3 RETURN n1");
         let g2 = gexpr_of("MATCH (n1) WHERE n1.a > 5 RETURN n1");
         let witness = prove_with_witness(&g1, &g2).expect("witness exists");
-        fn removed_count(proof: &ProofRecord) -> usize {
-            match proof {
-                ProofRecord::Identical => 0,
-                ProofRecord::Peel(inner) => removed_count(inner),
-                ProofRecord::Summands(record) => record
-                    .left
-                    .kept
-                    .iter()
-                    .chain(record.right.kept.iter())
-                    .map(|k| k.removed_atoms.len())
-                    .sum(),
-            }
-        }
         assert!(
             removed_count(&witness.proof) >= 1,
             "the implied atom [n1.a > 3] should be recorded as removed"
         );
+    }
+
+    #[test]
+    fn cached_and_carried_summands_replay_the_same_witness() {
+        crate::reset_thread_caches();
+        let g1 = gexpr_of("MATCH (n1) WHERE n1.a > 5 AND n1.a > 3 RETURN n1");
+        let g2 = gexpr_of("MATCH (n1) WHERE n1.a > 5 RETURN n1");
+        // Cold: every summand simplification misses and runs the SMT solver.
+        let cold = prove_with_witness(&g1, &g2).expect("witness exists");
+        // Warm: the same thread's summand cache replays the removals.
+        let warm = prove_with_witness(&g1, &g2).expect("witness exists");
+        assert_eq!(cold, warm);
+        // Across an epoch reset the carried-over entries were externed and
+        // re-interned, removed atoms included.
+        crate::reset_thread_caches();
+        let carried = prove_with_witness(&g1, &g2).expect("witness exists");
+        assert_eq!(cold, carried);
+        assert!(removed_count(&carried.proof) >= 1);
     }
 }

@@ -7,10 +7,14 @@
 //! minimal mutation, and asserts the checker's structured rejection code.
 
 use cyeqset::{cyeqset, cyneqset};
-use graphqe::GraphQE;
+use cypher_normalizer::normalize_query;
+use cypher_parser::parse_and_check;
+use gexpr::{build_query, GExpr};
+use graphqe::{divide, GraphQE};
 use graphqe_checker::cert::{Certificate, Evidence, Matching, Proof, SummandsProof};
 use graphqe_checker::value::Value;
 use graphqe_checker::{check_certificate, CheckError};
+use property_graph::rng::DetRng;
 
 /// Emits the certificate for a pair, or `None` when the verdict is unknown.
 fn emit(prover: &GraphQE, left: &str, right: &str) -> Option<Certificate> {
@@ -218,4 +222,116 @@ fn full_corpus_certificates_check_green_with_pinned_verdicts() {
             "{name} (equivalent, not_equivalent, unknown) drifted under certification"
         );
     }
+}
+
+/// The G-expression pairs the decide sees for a query pair on the identity
+/// column alignment: the whole queries, or each divide-and-conquer segment
+/// pair. Pairs that fail stages ① - ③ contribute nothing.
+fn decided_gexprs(left: &str, right: &str) -> Vec<(GExpr, GExpr)> {
+    let (Ok(q1), Ok(q2)) = (parse_and_check(left), parse_and_check(right)) else {
+        return Vec::new();
+    };
+    let (n1, n2) = (normalize_query(&q1), normalize_query(&q2));
+    let (segments1, segments2) =
+        if divide::needs_divide_and_conquer(&n1) || divide::needs_divide_and_conquer(&n2) {
+            match (divide::split_into_segments(&n1), divide::split_into_segments(&n2)) {
+                (Some(a), Some(b)) if a.len() == b.len() => (a, b),
+                _ => return Vec::new(),
+            }
+        } else {
+            (vec![n1], vec![n2])
+        };
+    segments1
+        .iter()
+        .zip(&segments2)
+        .filter_map(|(a, b)| Some((build_query(a).ok()?.expr, build_query(b).ok()?.expr)))
+        .collect()
+}
+
+/// Corpus queries put through a fixed-seed slice of equivalence-preserving
+/// rewrites, half of them then broken by a CyNeqSet mutation.
+fn rewritten_and_mutated_pairs() -> Vec<(String, String)> {
+    let queries: Vec<String> = cyeqset().into_iter().map(|pair| pair.left).collect();
+    let mut rng = DetRng::seed_from_u64(0x5EC0_4D3D);
+    let mut pairs = Vec::new();
+    for _ in 0..80 {
+        let base = &queries[rng.range_usize(0, queries.len())];
+        let rewrites = cyeqset::rewrite::all_rewrites(base);
+        let rewritten = if rewrites.is_empty() {
+            base.clone()
+        } else {
+            rewrites[rng.range_usize(0, rewrites.len())].1.clone()
+        };
+        let right = if rng.range_usize(0, 2) == 0 {
+            cyeqset::mutate::mutate(&rewritten, rng.range_usize(0, 5))
+                .map_or(rewritten, |(_, mutated)| mutated)
+        } else {
+            rewritten
+        };
+        pairs.push((base.clone(), right));
+    }
+    pairs
+}
+
+/// The witness comes out of the prover's own decide run with a recorder, so
+/// recording must never change the decision: a witness exists exactly when
+/// the plain decide proves the pair, on every corpus pair and on rewritten
+/// and mutated pairs, whichever of the two runs first on the thread's caches.
+#[test]
+fn recording_never_changes_the_decision() {
+    let corpus = cyeqset().into_iter().chain(cyneqset()).map(|pair| (pair.left, pair.right));
+    let mut decided = 0;
+    let mut proved = 0;
+    for (index, (left, right)) in corpus.chain(rewritten_and_mutated_pairs()).enumerate() {
+        for (g1, g2) in decided_gexprs(&left, &right) {
+            let (plain, recorded) = if index % 2 == 0 {
+                let plain = liastar::check_equivalence(&g1, &g2);
+                (plain, liastar::witness::prove_with_witness(&g1, &g2))
+            } else {
+                let recorded = liastar::witness::prove_with_witness(&g1, &g2);
+                (liastar::check_equivalence(&g1, &g2), recorded)
+            };
+            assert_eq!(
+                plain.is_proved(),
+                recorded.is_some(),
+                "recording changed the decision on {left} vs {right}"
+            );
+            decided += 1;
+            proved += usize::from(plain.is_proved());
+        }
+    }
+    assert!(decided > 300, "most pairs should reach the decide: {decided}");
+    assert!(proved > 100, "many pairs should be proved: {proved}");
+}
+
+/// Emission needs nothing the prove left behind: every EQUIVALENT corpus
+/// certificate validates when emitted right after the prove, after the
+/// thread's decide caches were reset (arena epoch, summand, disjointness and
+/// formula caches), and after the shared normalize cache was cleared.
+#[test]
+fn equivalence_certificates_check_after_cache_resets() {
+    let prover = GraphQE::new();
+    let resets: [(&str, fn()); 3] = [
+        ("warm", || {}),
+        ("reset_thread_caches", liastar::reset_thread_caches),
+        ("clear_normalize_cache", graphqe::clear_normalize_cache),
+    ];
+    let mut checked = 0;
+    for pair in cyeqset() {
+        let verdict = prover.prove(&pair.left, &pair.right);
+        if !verdict.is_equivalent() {
+            continue;
+        }
+        for (name, reset) in resets {
+            reset();
+            let certificate = prover
+                .certificate_for(&pair.left, &pair.right, &verdict)
+                .unwrap_or_else(|e| panic!("{}: emission failed after {name}: {e}", pair.id));
+            check_certificate(&certificate).unwrap_or_else(|e| {
+                panic!("{}: checker rejected the certificate after {name}: {e:?}", pair.id)
+            });
+            checked += 1;
+        }
+    }
+    assert_eq!(checked, 3 * 138, "every EQUIVALENT corpus pair is certified three ways");
 }
