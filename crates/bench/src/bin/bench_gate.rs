@@ -1,16 +1,20 @@
 //! CI bench-regression gate.
 //!
-//! Compares the freshly produced `BENCH_pr8.json` against the committed
-//! previous report (`BENCH_pr7.json` by default) and exits non-zero when the
-//! end-to-end time regressed by more than 15% or any verdict count changed
-//! (CyEqSet must stay at the paper's 138/148 proved pairs).
+//! Compares the freshly produced `BENCH.json` (written by the `bench`
+//! binary) against a committed previous report (`BENCH_pr8.json` by default)
+//! and exits non-zero when the end-to-end time regressed by more than 15% or
+//! any verdict count changed (CyEqSet must stay at the paper's 138/148
+//! proved pairs).
 //!
-//! Usage:
+//! Usage (CI passes the defaults and all four stages):
 //!
 //! ```text
 //! bench_gate [--current PATH] [--previous PATH] [--tolerance PCT] [--strict]
 //!            [--stage search] [--stage eval] [--stage parse]
 //!            [--stage normalize]
+//!
+//! bench_gate --current BENCH.json --previous BENCH_pr8.json \
+//!            --stage search --stage eval --stage parse --stage normalize
 //! ```
 //!
 //! The performance comparison evaluates both a baseline-normalized view
@@ -41,8 +45,8 @@ struct Args {
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
-        current: "BENCH_pr8.json".to_string(),
-        previous: "BENCH_pr7.json".to_string(),
+        current: "BENCH.json".to_string(),
+        previous: "BENCH_pr8.json".to_string(),
         config: GateConfig::default(),
     };
     let mut argv = std::env::args().skip(1);

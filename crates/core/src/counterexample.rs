@@ -189,18 +189,49 @@ fn pool_shard(key: &PoolKey) -> &'static PoolShard {
     &shards[(hasher.finish() as usize) % POOL_SHARDS]
 }
 
+/// Most candidate pools the cache holds. Creating one more first clears the
+/// cache wholesale, so a stream of distinct vocabularies cannot grow it
+/// without limit. The bound sits well above the 91 distinct vocabularies of
+/// the two benchmark datasets, so replaying them never clears. The bound
+/// trades memory against pauses: a clear frees every pooled graph at once
+/// (about 100 per exhausted pool; about 200 ms per 256 such pools, measured
+/// on a 2-vCPU VM), and the call that clears waits for it. At 256 and 512
+/// those pauses showed in a fresh stream's 99th-percentile latency.
+const MAX_POOLS: usize = 640;
+
+/// Number of pools currently cached, over all shards.
+fn pool_count() -> usize {
+    POOL_CACHE.get().map_or(0, |shards| {
+        shards
+            .iter()
+            .map(|shard| shard.read().unwrap_or_else(|poison| poison.into_inner()).len())
+            .sum()
+    })
+}
+
 /// The shared pool for `key`, creating an empty lazy pool on first use.
 fn shared_pool(key: &PoolKey, config: &SearchConfig) -> SharedPool {
     let shard = pool_shard(key);
     if let Some(pool) = shard.read().unwrap_or_else(|poison| poison.into_inner()).get(key) {
         return Arc::clone(pool);
     }
+    // A pool is about to be created: keep the cache within `MAX_POOLS`.
+    // Count, clear and insert under the clear lock, so concurrent creators
+    // cannot overshoot the bound together or wipe twice; the shard lock is
+    // taken only after any clear, in the lock order the clears use. The
+    // cleared pools are freed after both locks are released, so the other
+    // workers do not wait for it.
+    let serial = CLEAR_LOCK.lock().unwrap_or_else(|poison| poison.into_inner());
+    let cleared = if pool_count() >= MAX_POOLS { clear_pool_cache_locked() } else { Vec::new() };
     let mut shard = shard.write().unwrap_or_else(|poison| poison.into_inner());
-    Arc::clone(
-        shard.entry(key.clone()).or_insert_with(|| {
+    let pool =
+        Arc::clone(shard.entry(key.clone()).or_insert_with(|| {
             Arc::new(Mutex::new(LazyPool::new(config, (*key.vocabulary).clone())))
-        }),
-    )
+        }));
+    drop(shard);
+    drop(serial);
+    drop(cleared);
+    pool
 }
 
 /// The graph at `index` of the shared pool (see [`LazyPool::graph`]).
@@ -422,11 +453,15 @@ pub fn clear_pool_cache_if_unchanged(seen_generation: u64) -> bool {
     true
 }
 
-/// The clear body; the caller must hold [`CLEAR_LOCK`].
-fn clear_pool_cache_locked() {
+/// The clear body; the caller must hold [`CLEAR_LOCK`]. Returns the cleared
+/// pools, so a caller can free their graphs after releasing its locks.
+fn clear_pool_cache_locked() -> Vec<HashMap<PoolKey, SharedPool>> {
+    let mut cleared = Vec::new();
     if let Some(shards) = POOL_CACHE.get() {
         for shard in shards {
-            shard.write().unwrap_or_else(|poison| poison.into_inner()).clear();
+            cleared.push(std::mem::take(
+                &mut *shard.write().unwrap_or_else(|poison| poison.into_inner()),
+            ));
         }
     }
     if let Some(interner) = VOCABULARIES.get() {
@@ -439,6 +474,7 @@ fn clear_pool_cache_locked() {
         plans.lock().unwrap_or_else(|poison| poison.into_inner()).clear();
     }
     CLEAR_GENERATION.fetch_add(1, Ordering::Relaxed);
+    cleared
 }
 
 /// Monotonic count of [`clear_pool_cache`] calls in this process. Callers
@@ -1110,5 +1146,44 @@ mod tests {
         assert!(find_counterexample(&q1, &q2, &config).is_none());
         clear_pool_cache();
         assert!(find_counterexample(&q1, &q2, &config).is_none());
+    }
+
+    #[test]
+    fn the_pool_cache_stays_within_its_bound_under_parallel_batches() {
+        // One distinct vocabulary (label, key and constant) per pair, more
+        // pairs than the bound, proved on two workers: their arenas never
+        // reach the arena budget, so only the pool bound keeps the cache in
+        // check.
+        let pairs: Vec<(String, String)> = (0..MAX_POOLS + 44)
+            .map(|i| {
+                (
+                    format!("MATCH (n:PoolBound{i}) RETURN n"),
+                    format!("MATCH (n:PoolBound{i}) WHERE n.k{i} = {i} RETURN n"),
+                )
+            })
+            .collect();
+        let generation_before = pool_cache_generation();
+        let prover = crate::GraphQE::new();
+        let mut verdicts = Vec::new();
+        for chunk in pairs.chunks(20) {
+            let (outcomes, _) = prover.prove_batch_outcomes(chunk, 2);
+            assert!(pool_count() <= MAX_POOLS, "pool cache holds {} pools", pool_count());
+            verdicts.extend(outcomes.into_iter().map(|outcome| outcome.verdict));
+        }
+        assert!(pool_cache_generation() > generation_before, "the bound must have cleared");
+
+        let sequential = crate::GraphQE {
+            search_config: SearchConfig { use_memo: false, ..SearchConfig::default() },
+            ..crate::GraphQE::new()
+        };
+        for ((left, right), verdict) in pairs.iter().zip(&verdicts) {
+            let fresh = sequential.prove(left, right);
+            assert_eq!(
+                (verdict.is_equivalent(), verdict.is_not_equivalent()),
+                (fresh.is_equivalent(), fresh.is_not_equivalent()),
+                "batch and sequential verdicts differ on {left} vs {right}"
+            );
+        }
+        assert!(verdicts.iter().all(crate::Verdict::is_not_equivalent));
     }
 }
